@@ -1,18 +1,19 @@
 """Performance benchmark: the vectorized RUL model layer.
 
-Two gated speedups, both measured against the scalar reference paths
-that remain in the tree as implementations of record:
+Two gated speedups, both measured against the scalar reference
+implementations of record, the test oracles in ``tests/reference``:
 
 * **RANSAC fit** — the batched :meth:`RANSACLineFitter.fit` (vectorized
   trial evaluation plus the fused C consensus kernel when it compiles)
-  against :meth:`~RANSACLineFitter.fit_reference`, the per-trial scalar
+  against ``tests.reference.ransac.fit_reference``, the per-trial scalar
   loop, at fleet scale (N = 5000 points, 2000 trials).  Gate: **≥ 5x**.
   Bit-identity of the two fits is asserted before timing; the gate is
   skipped on hosts where the fused kernel cannot compile, because the
   numpy tiled fallback alone does not clear 5x on a single core.
 * **Walk-forward backtest** — the incremental :func:`backtest_rul`
   (prefix windows, precomputed per-pump groups, batched fits) against
-  :func:`backtest_rul_reference` (per-day rescan, scalar-engine fits)
+  ``tests.reference.backtest.backtest_rul_reference`` (per-day rescan,
+  fits by the scalar ``ReferenceRecursiveRANSAC``)
   over a 24-pump fleet, identically configured engines so both runs
   perform the same model fits.  Gate: **≥ 3x** end-to-end.
 
@@ -36,10 +37,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.backtest import backtest_rul, backtest_rul_reference
+from repro.analysis.backtest import backtest_rul
 from repro.core import _native
 from repro.core.kde import GaussianKDE1D
 from repro.core.ransac import RANSACLineFitter, RecursiveRANSAC
+from tests.reference.backtest import backtest_rul_reference
+from tests.reference.ransac import ReferenceRecursiveRANSAC, fit_reference
 
 pytestmark = pytest.mark.perf
 
@@ -142,17 +145,15 @@ def backtest_args():
     return (pumps, times, service, da, lives, BACKTEST_THRESHOLD)
 
 
-def day_engine(engine):
-    return RecursiveRANSAC(
-        residual_threshold=0.05, min_inliers=30, seed=0, engine=engine
-    )
+def day_engine(engine_cls):
+    return engine_cls(residual_threshold=0.05, min_inliers=30, seed=0)
 
 
 class TestRansacFit:
     def test_perf_reference_fit(self, benchmark):
         x, z = fleet_scatter()
         benchmark.pedantic(
-            lambda: make_fitter().fit_reference(x, z),
+            lambda: fit_reference(make_fitter(), x, z),
             rounds=FIT_ROUNDS,
             iterations=1,
         )
@@ -162,7 +163,7 @@ class TestRansacFit:
         x, z = fleet_scatter()
         # Parity before timing: same model floats, same inlier set.
         batched = make_fitter().fit(x, z)
-        reference = make_fitter().fit_reference(x, z)
+        reference = fit_reference(make_fitter(), x, z)
         assert batched.slope == reference.slope
         assert batched.intercept == reference.intercept
         assert np.array_equal(batched.inlier_indices, reference.inlier_indices)
@@ -203,7 +204,7 @@ class TestBacktest:
             lambda: backtest_rul_reference(
                 *args,
                 refresh_every_days=BACKTEST_REFRESH,
-                ransac=day_engine("reference"),
+                ransac=day_engine(ReferenceRecursiveRANSAC),
             ),
             rounds=BACKTEST_ROUNDS,
             iterations=1,
@@ -215,12 +216,12 @@ class TestBacktest:
         # Parity before timing: identically configured engines, so both
         # paths perform the same fits and must emit identical points.
         fast = backtest_rul(
-            *args, refresh_every_days=BACKTEST_REFRESH, ransac=day_engine("batched")
+            *args, refresh_every_days=BACKTEST_REFRESH, ransac=day_engine(RecursiveRANSAC)
         )
         reference = backtest_rul_reference(
             *args,
             refresh_every_days=BACKTEST_REFRESH,
-            ransac=day_engine("reference"),
+            ransac=day_engine(ReferenceRecursiveRANSAC),
         )
         assert len(fast.points) == len(reference.points) > 0
         for a, b in zip(fast.points, reference.points):
@@ -229,7 +230,7 @@ class TestBacktest:
             lambda: backtest_rul(
                 *args,
                 refresh_every_days=BACKTEST_REFRESH,
-                ransac=day_engine("batched"),
+                ransac=day_engine(RecursiveRANSAC),
             ),
             rounds=BACKTEST_ROUNDS,
             iterations=1,

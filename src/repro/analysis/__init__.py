@@ -20,7 +20,6 @@ from repro.analysis.backtest import (
     BacktestPoint,
     BacktestResult,
     backtest_rul,
-    backtest_rul_reference,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "DriftVerdict",
     "population_stability_index",
     "backtest_rul",
-    "backtest_rul_reference",
     "BacktestResult",
     "BacktestPoint",
 ]

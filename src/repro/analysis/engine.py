@@ -5,6 +5,10 @@ pure-array :class:`~repro.core.pipeline.AnalysisPipeline` and packages the
 results — per-measurement zones, lifetime models, per-pump RUL and the
 cost accounting — into a single report, the artifact the paper's GUI would
 render for the fab manager.
+
+There is one pipeline and the engine always runs it; the scalar
+implementations it is held bit-identical to are test oracles in
+``tests/reference/``, not runtime options.
 """
 
 from __future__ import annotations
@@ -17,10 +21,15 @@ from repro.analysis.cost import CostModel
 from repro.core.classify import ZONE_A
 from repro.core.diagnosis import Diagnosis, SpectralDiagnoser
 from repro.core.peaks import extract_harmonic_peaks
-from repro.core.pipeline import AnalysisPipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import (
+    DEFAULT_CHUNK_ROWS,
+    AnalysisPipeline,
+    PipelineConfig,
+    PipelineResult,
+)
 from repro.core.ransac import LineModel
 from repro.core.rul import RULPrediction
-from repro.runtime.batch import DEFAULT_CHUNK_ROWS, BatchPipeline, finite_block_mask
+from repro.runtime.batch import finite_block_mask
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.fleet import FleetExecutor, SupervisionPolicy, SupervisionReport
 from repro.runtime.incremental import IncrementalPipelineSession
@@ -51,10 +60,6 @@ class EngineConfig:
             disables diagnosis).
         diagnosis_window: number of most recent valid measurements whose
             mean PSD feeds each pump's diagnosis.
-        use_batch_runtime: route the analysis through the batched
-            :class:`~repro.runtime.batch.BatchPipeline` (bit-identical
-            to the scalar path; the default).  False selects the scalar
-            reference pipeline.
         max_workers: fleet-executor worker count for the per-pump RUL
             and diagnosis fan-out; None auto-sizes, 0/1 forces serial.
         executor_backend: ``"thread"`` (default) or ``"process"`` for
@@ -66,14 +71,14 @@ class EngineConfig:
         incremental: reuse cached per-row transform features across
             rolling-window advances — each engine run transforms only
             measurements it has never seen.  Bit-identical to a cold
-            run; requires the batch runtime.
+            run.
         supervision: optional
             :class:`~repro.runtime.fleet.SupervisionPolicy` arming the
             fleet executor's self-healing path (deadlines, bounded
             restarts, salvage).  Ignored when a pre-built executor is
             injected — the executor's own policy wins.
         checkpoint_dir: optional directory for the transform checkpoint
-            journal; when set, batch-runtime runs record every completed
+            journal; when set, runs record every completed
             transform chunk and resume bit-identically after a crash.
     """
 
@@ -81,7 +86,6 @@ class EngineConfig:
     cost: CostModel = field(default_factory=CostModel)
     rotation_hz: float | None = None
     diagnosis_window: int = 10
-    use_batch_runtime: bool = True
     max_workers: int | None = None
     executor_backend: str = "thread"
     incremental: bool = False
@@ -237,8 +241,8 @@ class VibrationAnalysisEngine:
         Args:
             api: period-scoped retrieval facade.
             config: engine configuration (defaults apply when None).
-            executor: optional pre-built fleet executor for the batch
-                runtime — the chaos runner passes one carrying its fault
+            executor: optional pre-built fleet executor for the
+                pipeline — the chaos runner passes one carrying its fault
                 injector; None builds a plain executor from
                 ``config.max_workers``.
         """
@@ -263,7 +267,7 @@ class VibrationAnalysisEngine:
         return backend
 
     def _make_pipeline(self) -> AnalysisPipeline:
-        """Pipeline instance per the configured runtime path.
+        """The engine's pipeline, with its executor and checkpoint journal.
 
         Built once and reused across runs so content-addressed caches —
         and the incremental session's per-row features — survive
@@ -271,25 +275,22 @@ class VibrationAnalysisEngine:
         """
         if self._pipeline is not None:
             return self._pipeline
-        if self.config.use_batch_runtime:
-            executor = self.executor or FleetExecutor(
-                max_workers=self.config.max_workers,
-                backend=self._resolve_backend(),
-                supervision=self.config.supervision,
+        executor = self.executor or FleetExecutor(
+            max_workers=self.config.max_workers,
+            backend=self._resolve_backend(),
+            supervision=self.config.supervision,
+        )
+        checkpoint = None
+        if self.config.checkpoint_dir is not None:
+            checkpoint = CheckpointManager(
+                self.config.checkpoint_dir,
+                run_key=f"transform-v1:chunk_rows={DEFAULT_CHUNK_ROWS}",
             )
-            checkpoint = None
-            if self.config.checkpoint_dir is not None:
-                checkpoint = CheckpointManager(
-                    self.config.checkpoint_dir,
-                    run_key=f"transform-v1:chunk_rows={DEFAULT_CHUNK_ROWS}",
-                )
-            pipeline = BatchPipeline(
-                self.config.pipeline, executor=executor, checkpoint=checkpoint
-            )
-            if self.config.incremental:
-                self._session = IncrementalPipelineSession(pipeline)
-        else:
-            pipeline = AnalysisPipeline(self.config.pipeline)
+        pipeline = AnalysisPipeline(
+            self.config.pipeline, executor=executor, checkpoint=checkpoint
+        )
+        if self.config.incremental:
+            self._session = IncrementalPipelineSession(pipeline)
         self._pipeline = pipeline
         return pipeline
 
@@ -299,8 +300,7 @@ class VibrationAnalysisEngine:
         Args:
             profile: optional :class:`~repro.runtime.profile.RuntimeProfile`
                 collecting per-stage wall-clock timings (the ``--profile``
-                CLI surface).  The batch runtime reports every pipeline
-                stage; the scalar reference reports one aggregate stage.
+                CLI surface): every pipeline stage plus ``diagnose``.
 
         Raises:
             InsufficientDataError: when the period holds no (finite)
@@ -355,21 +355,10 @@ class VibrationAnalysisEngine:
             )
 
         pipeline = self._make_pipeline()
-        sup_tally = getattr(
-            getattr(pipeline, "executor", None), "supervision_report", None
-        )
+        sup_tally = pipeline.executor.supervision_report
         sup_before = sup_tally.as_dict() if sup_tally is not None else None
-        if self._session is not None:
-            result = self._session.run(
-                pumps, service, samples, train_labels, profile=profile
-            )
-        elif isinstance(pipeline, BatchPipeline):
-            result = pipeline.run(pumps, service, samples, train_labels, profile=profile)
-        elif profile is not None:
-            with profile.stage("pipeline(scalar)", int(pumps.size)):
-                result = pipeline.run(pumps, service, samples, train_labels)
-        else:
-            result = pipeline.run(pumps, service, samples, train_labels)
+        runner = self._session if self._session is not None else pipeline
+        result = runner.run(pumps, service, samples, train_labels, profile=profile)
 
         events = self.api.get_events()
         wasted = self.config.cost.wasted_rul_value(events)
@@ -427,9 +416,7 @@ class VibrationAnalysisEngine:
             recent = member[np.argsort(service[member])][-window:]
             items.append((int(pump), result.psd[recent].mean(axis=0)))
 
-        if isinstance(pipeline, BatchPipeline):
-            # Fan the per-pump chains across the runtime's executor;
-            # map_pumps preserves the sorted submission order, so the
-            # report iterates pumps identically to the serial loop.
-            return pipeline.executor.map_pumps(diagnose_pump, items)
-        return {pump: diagnose_pump(mean_psd) for pump, mean_psd in items}
+        # Fan the per-pump chains across the pipeline's executor;
+        # map_pumps preserves the sorted submission order, so the report
+        # iterates pumps identically to a serial loop.
+        return pipeline.executor.map_pumps(diagnose_pump, items)

@@ -66,11 +66,6 @@ def _add_analyze_parser(subparsers) -> None:
         help="append a per-stage wall-clock runtime profile to the report",
     )
     p.add_argument(
-        "--scalar",
-        action="store_true",
-        help="use the scalar reference pipeline instead of the batch runtime",
-    )
-    p.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -277,7 +272,6 @@ def _cmd_analyze(args, out) -> int:
             api,
             EngineConfig(
                 pipeline=PipelineConfig(moving_average_window=args.moving_average),
-                use_batch_runtime=not args.scalar,
                 max_workers=args.workers,
                 executor_backend=args.backend,
                 supervision=SupervisionPolicy() if args.supervise else None,

@@ -6,7 +6,9 @@ peak extraction, the peak harmonic distance (Algorithm 1), zone
 classification, and the recursive-RANSAC Remaining-Useful-Lifetime model.
 
 All functions here are pure numpy/scipy computations over arrays; the
-storage, simulation and orchestration layers live in sibling subpackages.
+pipeline additionally runs on the caches, executor and profiler of
+:mod:`repro.runtime`.  The storage, simulation and orchestration layers
+live in sibling subpackages.
 """
 
 from repro.core.features import (

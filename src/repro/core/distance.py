@@ -195,8 +195,9 @@ def packed_harmonic_distances(
       (at most ``P`` iterations): each iteration resolves the ``k``-th
       peak of every row at once, replicating the scalar search's
       bisect-and-expand choice (nearest unconsumed neighbour on each
-      side, left wins ties) with index arithmetic on an ``(N, n_j)``
-      consumed mask;
+      side; a tie goes to whichever the outward scan reaches first, the
+      left one when both are equally far in index) with index arithmetic
+      on an ``(N, n_j)`` consumed mask;
     * unmatched-exemplar residuals are compacted per row and summed in
       groups of equal residual count, so every row's residual sees the
       same pairwise-summation tree as the scalar path's
@@ -268,9 +269,14 @@ def packed_harmonic_distances(
             )[:, 0]
             gap_left = np.where(has_left, np.abs(f - fj_left), np.inf)
             gap_right = np.where(has_right, np.abs(f - fj_right), np.inf)
-            # The scalar scan visits the left candidate first and only
-            # lets the right one replace it on a strictly smaller gap.
-            use_left = has_left & (~has_right | ~(gap_right < gap_left))
+            # The scalar scan steps outward one index per side per
+            # round, left before right, and the candidate it reaches
+            # first is replaced only on a strictly smaller gap.
+            left_first = pos - 1 - left_idx <= right_idx - pos
+            use_left = has_left & (
+                ~has_right
+                | np.where(left_first, ~(gap_right < gap_left), gap_left < gap_right)
+            )
             j_star = np.where(use_left, left_idx, right_idx)
             has_any = has_left | has_right
             j_safe = np.clip(j_star, 0, n_j - 1)[:, None]

@@ -1,15 +1,9 @@
-"""Batched, instrumented execution layer for the analysis workflow.
+"""Execution layer under the analysis pipeline: caches, fan-out, profiling.
 
-The scalar :class:`~repro.core.pipeline.AnalysisPipeline` pushes one
-measurement at a time through transform → preprocess → features →
-RUL; correct, but every stage pays per-measurement Python and FFT-call
-overhead.  This package is the production runtime on top of the same
-analytical code:
+The one Fig. 7 pipeline (:class:`~repro.core.pipeline.AnalysisPipeline`)
+runs the whole measurement matrix through vectorized kernels and builds
+on the primitives of this package:
 
-* :class:`~repro.runtime.batch.BatchPipeline` — the whole measurement
-  matrix through vectorized kernels (single 2-D DCT, one-shot Hann
-  smoothing, vectorized local-maxima scan), bit-identical to the scalar
-  reference (the parity tests enforce it);
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
   diagnosis chains fanned across worker threads or processes with
   chunked scheduling and deterministic result ordering (the process
@@ -25,9 +19,12 @@ analytical code:
 * :class:`~repro.runtime.profile.RuntimeProfile` — per-stage wall-clock
   timers and counters behind the ``repro analyze --profile`` flag, the
   measurement surface for future benchmark entries.
+
+``repro.runtime.batch.BatchPipeline`` remains as a second name for the
+pipeline class.  The scalar per-measurement references the pipeline is
+tested against live in ``tests/reference/``.
 """
 
-from repro.runtime.batch import BatchPeakHarmonicFeature, BatchPipeline
 from repro.runtime.cache import (
     ModelFitCache,
     PeakFeatureCache,
@@ -50,8 +47,6 @@ from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
 __all__ = [
     "ABANDONED",
-    "BatchPeakHarmonicFeature",
-    "BatchPipeline",
     "CheckpointManager",
     "FleetExecutor",
     "IncrementalPipelineSession",

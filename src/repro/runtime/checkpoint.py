@@ -22,7 +22,7 @@ re-recorded with different input bytes, the old input digest is added to
 it.  :meth:`CheckpointManager.is_current` lets the
 :class:`~repro.runtime.cache.TransformCache` revalidate warm hits after
 an interrupted run, so a stale in-memory entry can never resurrect a
-superseded chunk (see ``BatchPipeline.transform``).
+superseded chunk (see ``AnalysisPipeline.transform``).
 
 Format (``manifest.json``, version 1)::
 

@@ -21,13 +21,15 @@ bytes and every transform op is row-independent, so the merged features
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.pipeline import PipelineResult
-from repro.runtime.batch import BatchPipeline
 from repro.runtime.cache import array_digest
 from repro.runtime.profile import RuntimeProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pipeline import AnalysisPipeline, PipelineResult
 
 #: Default bound on memoized rows.  A row entry holds ``K + 4`` float64s
 #: (~8 KiB at K=1024), so 100k rows caps the session near 800 MiB —
@@ -36,13 +38,13 @@ DEFAULT_MAX_ROWS = 100_000
 
 
 class IncrementalPipelineSession:
-    """Rolling-window wrapper over a :class:`BatchPipeline`.
+    """Rolling-window wrapper over an :class:`AnalysisPipeline`.
 
     Not thread-safe: one session per engine, invoked serially per
     refresh, matching the paper's periodic re-analysis loop.
     """
 
-    def __init__(self, pipeline: BatchPipeline, max_rows: int = DEFAULT_MAX_ROWS):
+    def __init__(self, pipeline: AnalysisPipeline, max_rows: int = DEFAULT_MAX_ROWS):
         if max_rows < 1:
             raise ValueError("max_rows must be positive")
         self.pipeline = pipeline
@@ -72,7 +74,7 @@ class IncrementalPipelineSession:
         """Analyze a window, transforming only rows not seen before.
 
         Same signature and bit-identical output as
-        :meth:`BatchPipeline.run`; the difference is purely which rows
+        :meth:`AnalysisPipeline.run`; the difference is purely which rows
         pay for the transform stage.
         """
         blocks = np.asarray(samples, dtype=np.float64)
@@ -88,8 +90,8 @@ class IncrementalPipelineSession:
         self.row_hits += hits
         self.row_misses += len(miss_idx)
 
-        with self.pipeline._profiled(profile):
-            with self.pipeline._stage("transform", len(miss_idx)):
+        with self.pipeline.profiled(profile) as stage:
+            with stage("transform", len(miss_idx)):
                 offsets = np.empty((n, 3))
                 rms = np.empty(n)
                 psd = np.empty((n, k))
@@ -119,6 +121,7 @@ class IncrementalPipelineSession:
                 rms,
                 psd,
                 train_labels,
+                stage,
             )
         if profile is not None:
             profile.count("incremental_row_hits", hits)

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.backtest import (
-    BacktestPoint,
-    BacktestResult,
-    backtest_rul,
-    backtest_rul_reference,
-)
+from repro.analysis.backtest import BacktestPoint, BacktestResult, backtest_rul
 from repro.core.ransac import RecursiveRANSAC
 from repro.runtime import FleetExecutor, RuntimeProfile
 from repro.runtime.cache import ModelFitCache
+from tests.reference.backtest import backtest_rul_reference
 
 
 def synthetic_fleet_history(seed=0, n_pumps=6, days=90.0, step=1.0):

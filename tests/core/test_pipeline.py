@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import AnalysisPipeline, PipelineConfig
+from tests.reference import pipeline as oracle
+from tests.reference.pipeline import ReferencePipeline
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +24,13 @@ class TestLayers:
         assert offsets.shape == (n, 3)
         assert rms.shape == (n,)
         assert psd.shape == (n, k)
+
+    def test_transform_matches_scalar_oracle(self, fleet_inputs):
+        _, _, _, samples, _ = fleet_inputs
+        for got, expected in zip(
+            AnalysisPipeline().transform(samples), oracle.transform(samples)
+        ):
+            assert np.array_equal(got, expected)
 
     def test_transform_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -87,6 +96,19 @@ class TestRun:
         raw_rough = np.diff(raw.da[order]).std()
         smooth_rough = np.diff(smoothed.da[order]).std()
         assert smooth_rough <= raw_rough + 1e-12
+
+    def test_full_run_matches_scalar_oracle(self, fleet_inputs):
+        _, pumps, service, samples, labels = fleet_inputs
+        config = PipelineConfig(moving_average_window=5, ransac_min_inliers=25)
+        result = AnalysisPipeline(config).run(pumps, service, samples, labels)
+        expected = ReferencePipeline(config).run(pumps, service, samples, labels)
+        for name in ("offsets", "rms", "psd", "da"):
+            assert np.array_equal(
+                getattr(result, name), getattr(expected, name), equal_nan=True
+            ), name
+        assert np.array_equal(result.zones, expected.zones)
+        assert result.zone_d_threshold == expected.zone_d_threshold
+        assert list(result.rul.items()) == list(expected.rul.items())
 
     def test_rejects_empty_labels(self, fleet_inputs):
         _, pumps, service, samples, _ = fleet_inputs

@@ -3,7 +3,7 @@
 The manifest is content-addressed (chunks keyed by input digest, payload
 verified by output digest on load), so resume can never serve stale or
 torn data — worst case it recomputes.  These tests drive the journal
-through :class:`BatchPipeline` exactly as the engine does.
+through :class:`AnalysisPipeline` exactly as the engine does.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig
-from repro.runtime.batch import BatchPipeline
+from repro.core.pipeline import AnalysisPipeline, PipelineConfig
 from repro.runtime.cache import PeakFeatureCache, TransformCache, array_digest
 from repro.runtime.checkpoint import MANIFEST_NAME, CheckpointManager
 
@@ -28,9 +27,9 @@ def blocks():
     return rng.normal(size=(N, K, 3))
 
 
-def make_pipeline(ckpt_dir=None, run_key="test-v1") -> BatchPipeline:
+def make_pipeline(ckpt_dir=None, run_key="test-v1") -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir, run_key=run_key) if ckpt_dir else None
-    return BatchPipeline(
+    return AnalysisPipeline(
         PipelineConfig(),
         cache=PeakFeatureCache(),
         transform_cache=TransformCache(),
@@ -72,10 +71,10 @@ class TestJournalAndResume:
     ):
         """Crash after two chunks: the resumed run recalls them from the
         journal, recomputes the rest, and matches an uninterrupted run."""
-        import repro.runtime.batch as batch_mod
+        import repro.core.pipeline as pipeline_mod
 
         reference = make_pipeline().transform(blocks)
-        real_tiled = batch_mod._transform_tiled
+        real_tiled = pipeline_mod._transform_tiled
         calls = {"n": 0}
 
         def dying_tiled(*args, **kwargs):
@@ -84,10 +83,10 @@ class TestJournalAndResume:
                 raise KeyboardInterrupt("simulated crash mid-run")
             return real_tiled(*args, **kwargs)
 
-        monkeypatch.setattr(batch_mod, "_transform_tiled", dying_tiled)
+        monkeypatch.setattr(pipeline_mod, "_transform_tiled", dying_tiled)
         with pytest.raises(KeyboardInterrupt):
             make_pipeline(tmp_path).transform(blocks)
-        monkeypatch.setattr(batch_mod, "_transform_tiled", real_tiled)
+        monkeypatch.setattr(pipeline_mod, "_transform_tiled", real_tiled)
 
         resumed_pipeline = make_pipeline(tmp_path)
         resumed = resumed_pipeline.transform(blocks)
@@ -140,7 +139,7 @@ class TestStaleCacheRevalidation:
         # A second run over different bytes re-records every chunk slot,
         # superseding the original digests in the shared manifest...
         changed = blocks + 1.0
-        other = BatchPipeline(
+        other = AnalysisPipeline(
             PipelineConfig(),
             cache=PeakFeatureCache(),
             transform_cache=TransformCache(),

@@ -153,6 +153,15 @@ class TestToleranceBoundaryTies:
         expected = (matched_left + 8.0 / p_max) / 2.0
         assert out[0] == expected
 
+    def test_tie_goes_to_the_neighbour_the_scan_reaches_first(self):
+        """Consumed peaks can push the left neighbour further away in index
+        than an equidistant right one; the outward scan then reaches the
+        right one first and keeps it on the tie."""
+        reference = make_peaks([0, 0.25, 1, 2, 3, 4, 5, 6, 7], [0.0] * 9)
+        rows = [make_peaks([0.25, 0.5, 1, 1.5, 2, 3, 4, 5], [0.0] * 8)]
+        out = assert_bit_identical(rows, reference, tol=1.0)
+        assert out[0] == pytest.approx(0.051948, abs=1e-6)
+
     def test_tie_then_forced_right(self):
         """After the tie consumes the left peak, the next equidistant peak
         must fall through to the right neighbour on both paths."""

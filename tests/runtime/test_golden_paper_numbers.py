@@ -9,8 +9,8 @@ threshold-learning code shows up here immediately:
 * the Fig. 11 Zone BC/D decision boundary (recorded ``0.3978``), and
 * the Table III peak-harmonic confusion matrix at 15 training samples.
 
-Both are computed through the scalar reference *and* the batch runtime,
-so the goldens double as an end-to-end parity check on real
+Both are computed through the per-row feature *and* the pipeline's
+cached batch feature, so the goldens double as an end-to-end parity check on real
 (synthesizer + MEMS sensor) data rather than toy workloads.
 """
 
@@ -32,8 +32,9 @@ from repro.core.classify import (
 )
 from repro.core.distance import peak_harmonic_distance
 from repro.core.peaks import extract_harmonic_peaks, extract_harmonic_peaks_batch
+from repro.core.pipeline import BatchPeakHarmonicFeature
 from repro.core.rul import learn_zone_d_threshold
-from repro.runtime import BatchPeakHarmonicFeature, PeakFeatureCache
+from repro.runtime import PeakFeatureCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 ARTIFACTS_DIR = REPO_ROOT / "artifacts"

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.runtime.batch as batch_mod
-from repro.core.pipeline import PipelineConfig
-from repro.runtime.batch import BatchPipeline
+import repro.core.pipeline as pipeline_mod
+from repro.core.pipeline import AnalysisPipeline, PipelineConfig
 from repro.runtime.cache import PeakFeatureCache, TransformCache
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.incremental import IncrementalPipelineSession
@@ -23,9 +22,9 @@ from tests.runtime.conftest import make_workload
 CHUNK_ROWS = 64
 
 
-def make_pipeline(ckpt_dir=None) -> BatchPipeline:
+def make_pipeline(ckpt_dir=None) -> AnalysisPipeline:
     checkpoint = CheckpointManager(ckpt_dir) if ckpt_dir else None
-    return BatchPipeline(
+    return AnalysisPipeline(
         PipelineConfig(),
         cache=PeakFeatureCache(),
         transform_cache=TransformCache(),
@@ -43,7 +42,7 @@ def test_killed_batch_window_resumes_bit_identical(tmp_path, window, monkeypatch
     ids, days, blocks, labels = window
     reference = make_pipeline().run(ids, days, blocks, labels)
 
-    real_tiled = batch_mod._transform_tiled
+    real_tiled = pipeline_mod._transform_tiled
     calls = {"n": 0}
 
     def dying_tiled(*args, **kwargs):
@@ -52,10 +51,10 @@ def test_killed_batch_window_resumes_bit_identical(tmp_path, window, monkeypatch
             raise KeyboardInterrupt("simulated mid-window kill")
         return real_tiled(*args, **kwargs)
 
-    monkeypatch.setattr(batch_mod, "_transform_tiled", dying_tiled)
+    monkeypatch.setattr(pipeline_mod, "_transform_tiled", dying_tiled)
     with pytest.raises(KeyboardInterrupt):
         make_pipeline(tmp_path).run(ids, days, blocks, labels)
-    monkeypatch.setattr(batch_mod, "_transform_tiled", real_tiled)
+    monkeypatch.setattr(pipeline_mod, "_transform_tiled", real_tiled)
 
     resumed_pipeline = make_pipeline(tmp_path)
     resumed = resumed_pipeline.run(ids, days, blocks, labels)
@@ -77,7 +76,7 @@ def test_killed_incremental_window_resumes_bit_identical(
     reference_session = IncrementalPipelineSession(make_pipeline())
     reference = reference_session.run(ids, days, blocks, labels)
 
-    real_tiled = batch_mod._transform_tiled
+    real_tiled = pipeline_mod._transform_tiled
     calls = {"n": 0}
 
     def dying_tiled(*args, **kwargs):
@@ -86,11 +85,11 @@ def test_killed_incremental_window_resumes_bit_identical(
             raise KeyboardInterrupt("simulated mid-window kill")
         return real_tiled(*args, **kwargs)
 
-    monkeypatch.setattr(batch_mod, "_transform_tiled", dying_tiled)
+    monkeypatch.setattr(pipeline_mod, "_transform_tiled", dying_tiled)
     session = IncrementalPipelineSession(make_pipeline(tmp_path))
     with pytest.raises(KeyboardInterrupt):
         session.run(ids, days, blocks, labels)
-    monkeypatch.setattr(batch_mod, "_transform_tiled", real_tiled)
+    monkeypatch.setattr(pipeline_mod, "_transform_tiled", real_tiled)
 
     resumed_session = IncrementalPipelineSession(make_pipeline(tmp_path))
     resumed = resumed_session.run(ids, days, blocks, labels)

@@ -45,14 +45,6 @@ class TestModelFitCache:
         other = RecursiveRANSAC(seed=1)
         assert key != ModelFitCache.fit_key(other.config_key(), x, z)
 
-    def test_engine_mode_changes_the_key(self):
-        x, z = fleet()
-        batched = RecursiveRANSAC(seed=0, engine="batched")
-        reference = RecursiveRANSAC(seed=0, engine="reference")
-        assert ModelFitCache.fit_key(
-            batched.config_key(), x, z
-        ) != ModelFitCache.fit_key(reference.config_key(), x, z)
-
     def test_fifo_eviction(self):
         cache = ModelFitCache(max_entries=2)
         for i in range(3):
