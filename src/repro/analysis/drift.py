@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,8 @@ class DriftMonitor:
             raise ValueError(
                 f"need at least {self.min_window} finite samples, got {window.size}"
             )
+        from scipy.stats import ks_2samp
+
         ks = ks_2samp(self.reference, window)
         psi = population_stability_index(self.reference, window)
         drifted = bool(ks.pvalue < self.ks_alpha and psi > self.psi_threshold)

@@ -13,6 +13,7 @@ implementations it is held bit-identical to are test oracles in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,7 +301,9 @@ class VibrationAnalysisEngine:
         Args:
             profile: optional :class:`~repro.runtime.profile.RuntimeProfile`
                 collecting per-stage wall-clock timings (the ``--profile``
-                CLI surface): every pipeline stage plus ``diagnose``.
+                CLI surface): ``retrieve`` (the storage read with its
+                checksum verification), every pipeline stage, then
+                ``diagnose``.
 
         Raises:
             InsufficientDataError: when the period holds no (finite)
@@ -309,9 +312,12 @@ class VibrationAnalysisEngine:
                 thresholds).  A :class:`ValueError` subclass, so legacy
                 callers keep working.
         """
+        start = time.perf_counter()
         matrices = self.api.measurement_matrices_with_health()
         pumps, mids, service, samples, dropped_incomplete, corrupt_blobs = matrices
         total_retrieved = int(pumps.size)
+        if profile is not None:
+            profile.add("retrieve", time.perf_counter() - start, total_retrieved)
         if pumps.size == 0:
             raise InsufficientDataError("analysis period contains no measurements")
 

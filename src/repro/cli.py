@@ -16,6 +16,7 @@ Invoke as ``python -m repro <subcommand> ...``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -239,10 +240,7 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _cmd_analyze(args, out) -> int:
-    import os
-    import sys
-
+def _cmd_analyze(args, out, blas_threads: int | None) -> int:
     from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
     from repro.analysis.reporting import render_report
     from repro.core.pipeline import PipelineConfig
@@ -279,6 +277,8 @@ def _cmd_analyze(args, out) -> int:
             ),
         )
         profile = RuntimeProfile() if args.profile else None
+        if profile is not None and blas_threads is not None:
+            profile.count("blas_threads", blas_threads)
         try:
             report = engine.run(profile=profile)
         except ValueError as exc:
@@ -432,14 +432,68 @@ def _cmd_export(args, out) -> int:
     return 0
 
 
+def _pin_blas_threads() -> int | None:
+    """Run every OpenBLAS mapped into this process on one thread.
+
+    The engine's BLAS calls are small — GEMMs with inner dimension 3 in
+    mean shift and small triangular solves in the Mahalanobis distance —
+    and OpenBLAS threads cost more than they save on them, even on an
+    idle machine and with one fleet worker.  An exported
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins: the libraries
+    then keep the count they loaded with.  Forked process-backend
+    workers inherit the setting.
+
+    Returns:
+        The largest thread count read back from the libraries, or None
+        when no OpenBLAS thread control is found (no ``/proc/self/maps``,
+        a different BLAS, or no such symbol).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split(None, 5)[5].strip()
+                for line in maps
+                if "openblas" in line.lower()
+            }
+    except OSError:
+        return None
+    pin = not (
+        os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    )
+    counts = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's ILP64 build, scipy's LP64 build, then a plain OpenBLAS.
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                if pin:
+                    setter(1)
+                counts.append(getter())
+                break
+    return max(counts, default=None)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    # Importing the package has loaded numpy and scipy.linalg, so both
+    # bundled OpenBLAS libraries are mapped by now.
+    blas_threads = _pin_blas_threads()
     if args.command == "simulate":
         return _cmd_simulate(args, out)
     if args.command == "analyze":
-        return _cmd_analyze(args, out)
+        return _cmd_analyze(args, out, blas_threads)
     if args.command == "plan":
         return _cmd_plan(args, out)
     if args.command == "compact":

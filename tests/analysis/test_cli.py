@@ -1,16 +1,54 @@
 """Tests for the command-line interface (cli.py)."""
 
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.cli
 from repro.cli import main
+
+#: The CI smoke fleet: 6 pumps, 40 days, labels 20/20/15, seed 7.
+SMOKE_FLEET = ["--pumps", "6", "--days", "40", "--interval", "0.25",
+               "--labels", "20,20,15", "--seed", "7"]
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def smoke_db(tmp_path_factory):
+    db_path = str(tmp_path_factory.mktemp("smoke") / "smoke.db")
+    code, _ = run_cli(["simulate", "--db", db_path, *SMOKE_FLEET])
+    assert code == 0
+    return db_path
+
+
+def run_python(args, **env_overrides):
+    """Run ``python *args`` in a fresh process with this checkout's
+    ``repro`` importable and no BLAS thread setting inherited."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def profile_counters(text):
+    line = next(row for row in text.splitlines() if row.startswith("  counters:"))
+    return dict(item.split("=") for item in line.split()[1:])
 
 
 class TestSpecs:
@@ -90,6 +128,57 @@ class TestSimulateAnalyze:
         code, text = run_cli(["analyze", "--db", db_path])
         assert code == 1
         assert "error" in text
+
+    @pytest.mark.parametrize("threads", [None, 3])
+    def test_profile_records_blas_threads_when_readable(
+        self, smoke_db, monkeypatch, threads
+    ):
+        monkeypatch.setattr(repro.cli, "_pin_blas_threads", lambda: threads)
+        code, text = run_cli(["analyze", "--db", smoke_db, "--profile"])
+        assert code == 0
+        counters = profile_counters(text)
+        if threads is None:
+            assert "blas_threads" not in counters
+        else:
+            assert counters["blas_threads"] == "3"
+
+
+# Runs in a fresh process: which modules a cold ``repro analyze`` loads.
+_IMPORT_GUARD = """
+import io, json, sys
+LAZY = ("scipy.signal", "scipy.stats")
+import repro.cli
+loaded = {"import": [m for m in LAZY if m in sys.modules]}
+assert repro.cli.main(["analyze", "--db", sys.argv[1]], out=io.StringIO()) == 0
+loaded["analyze"] = [m for m in LAZY if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    """A ``repro analyze`` process pays no import or BLAS thread cost it
+    does not use, and neither changes the report."""
+
+    def test_analyze_never_imports_scipy_signal_or_stats(self, smoke_db):
+        loaded = json.loads(run_python(["-c", _IMPORT_GUARD, smoke_db]))
+        assert loaded == {"import": [], "analyze": []}
+
+    def test_report_identical_with_exported_blas_threads(self, smoke_db):
+        argv = ["-m", "repro", "analyze", "--db", smoke_db, "--profile"]
+        pinned = run_python(argv)
+        exported = run_python(argv, OPENBLAS_NUM_THREADS="2")
+        # Everything before the profile's timings is the report.
+        report, _, _ = pinned.partition("RUNTIME PROFILE:")
+        assert "PER-PUMP STATUS" in report
+        assert exported.partition("RUNTIME PROFILE:")[0] == report
+        pinned_threads = profile_counters(pinned).get("blas_threads")
+        exported_threads = profile_counters(exported).get("blas_threads")
+        if pinned_threads is None:
+            pytest.skip("no OpenBLAS thread control in this environment")
+        assert pinned_threads == "1"
+        # OpenBLAS caps its count at the CPUs it may run on.
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert exported_threads == "2"
 
 
 class TestParser:

@@ -97,10 +97,14 @@ class TestProfiledRunDeterminism:
         profiled = render_report(engine_for(seeded_api).run(profile))
         plain = render_report(engine_for(seeded_api).run())
         assert profiled == plain
-        # All batched stages reported in.
+        # Retrieval first, then every pipeline stage, then diagnosis.
+        stages = list(profile.stages)
+        assert stages[0] == "retrieve"
+        retrieved = seeded_api.database.measurements.count()
+        assert profile.stages["retrieve"].items == retrieved
         for stage in ("transform", "preprocess", "score_da", "predict_rul"):
-            assert stage in profile.stages
-        assert "diagnose" in profile.stages
+            assert stage in stages
+        assert stages[-1] == "diagnose"
         assert profile.total_seconds > 0
 
 
