@@ -26,7 +26,8 @@ API.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -50,6 +51,7 @@ from repro.runtime.cache import (
     PeakFeatureCache,
     TransformCache,
     array_digest,
+    as_float_array,
     default_peak_cache,
 )
 from repro.runtime.fleet import FleetExecutor
@@ -61,14 +63,16 @@ from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 #: keep peak memory bounded on fleet-scale matrices.
 DEFAULT_CHUNK_ROWS = 8192
 
-#: Rows per transform compute tile *within* a chunk.  The chunk is the
-#: content-addressed cache unit; the tile is the unit of actual compute.
-#: Small tiles keep the working set (normalized block, transposed DCT
-#: scratch) inside a few MiB that the two preallocated buffers recycle,
+#: Rows per compute tile of the two row-local stages: the transform
+#: (within a chunk) and the ``D_a`` peak extraction.  The chunk is the
+#: content-addressed cache unit; the tile is the unit of actual compute
+#: and of the thread fan-out.  Small tiles keep the working set
+#: (normalized block, transposed DCT scratch, peak-selection
+#: temporaries) inside a few MiB that each thread's buffers recycle,
 #: instead of faulting in hundreds of MiB of fresh temporaries per
 #: chunk — measured ~4x faster on the 8,640-row fleet matrix with
-#: bit-identical output (the DCT and every reduction are row-local, so
-#: tile boundaries cannot change a single float).
+#: bit-identical output (the DCT, the peak selection and every reduction
+#: are row-local, so tile boundaries cannot change a single float).
 TRANSFORM_TILE_ROWS = 256
 
 
@@ -130,6 +134,33 @@ class PipelineResult:
     rul: dict[object, RULPrediction]
 
 
+def map_row_tiles(fn, lo: int, hi: int, workers: int, scratch=lambda: None) -> list:
+    """``fn(tlo, thi, buffers)`` over the row tiles of ``[lo, hi)``, in tile order.
+
+    Tiles of :data:`TRANSFORM_TILE_ROWS` rows run on up to ``workers``
+    threads (serially for ``workers <= 1`` or a single tile).  Each
+    thread calls ``scratch()`` once for its own ``buffers``.  Results
+    come back in tile order and a failing tile re-raises, earliest tile
+    first, so the outcome does not depend on the thread count as long as
+    ``fn`` writes only its own rows.
+    """
+    tile = TRANSFORM_TILE_ROWS
+    tiles = [(tlo, min(tlo + tile, hi)) for tlo in range(lo, hi, tile)]
+    workers = min(workers, len(tiles))
+    if workers <= 1:
+        buffers = scratch()
+        return [fn(tlo, thi, buffers) for tlo, thi in tiles]
+    local = threading.local()
+
+    def run(bounds: tuple[int, int]):
+        if not hasattr(local, "buffers"):
+            local.buffers = scratch()
+        return fn(*bounds, local.buffers)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, tiles))
+
+
 def _transform_tiled(
     blocks: np.ndarray,
     lo: int,
@@ -137,29 +168,38 @@ def _transform_tiled(
     offsets: np.ndarray,
     rms: np.ndarray,
     psd: np.ndarray,
+    workers: int = 1,
 ) -> None:
     """Compute transform outputs for rows ``[lo, hi)`` tile by tile.
 
-    Writes the mean offsets, RMS and PSD rows in place.  Both the
-    in-process chunk loop and the shared-memory worker run this exact
-    function, so outputs are bit-identical regardless of which backend
-    (or which chunking) executed a row.
+    Writes the mean offsets, RMS and PSD rows in place, tiles fanned
+    over up to ``workers`` threads.  Both the in-process chunk loop and
+    the shared-memory worker run this exact function, so outputs are
+    bit-identical regardless of which backend (or which chunking, or how
+    many threads) executed a row.  float32 blocks are upcast tile by
+    tile into a float64 scratch buffer, exactly, before the unchanged op
+    sequence, so they transform bit-identically to their float64 upcast.
 
     Raises:
         ValueError: if any sample in ``[lo, hi)`` is non-finite.
     """
     k = blocks.shape[1]
-    tile = TRANSFORM_TILE_ROWS
-    norm = np.empty((min(tile, max(hi - lo, 1)), k, 3))
-    work = np.empty((norm.shape[0], 3, k))
-    for tlo in range(lo, hi, tile):
-        thi = min(tlo + tile, hi)
+    rows = min(TRANSFORM_TILE_ROWS, max(hi - lo, 1))
+
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((rows, k, 3)), np.empty((rows, 3, k))
+
+    def transform_tile(tlo: int, thi: int, buffers) -> None:
+        norm, work = buffers
         m = thi - tlo
         chunk = blocks[tlo:thi]
         if not np.all(np.isfinite(chunk)):
             raise ValueError("measurement contains non-finite samples")
-        means = chunk.mean(axis=1)
         normalized = norm[:m]
+        if chunk.dtype != np.float64:
+            normalized[...] = chunk
+            chunk = normalized
+        means = chunk.mean(axis=1)
         np.subtract(chunk, means[:, None, :], out=normalized)
         per_axis_sq = np.square(normalized).sum(axis=1)
         per_axis_sq /= k
@@ -177,6 +217,8 @@ def _transform_tiled(
         np.square(coeffs, out=coeffs)
         coeffs /= k
         psd[tlo:thi] = coeffs.sum(axis=1)
+
+    map_row_tiles(transform_tile, lo, hi, workers, scratch)
 
 
 def _transform_chunk_in_process(
@@ -205,6 +247,9 @@ class BatchPeakHarmonicFeature(PeakHarmonicFeature):
     :class:`~repro.core.classify.PeakHarmonicFeature`: smoothing runs
     through the flattened single-convolution kernel and peak selection
     shares the per-row selection code, so only the *batching* differs.
+    Cache misses are extracted in :data:`TRANSFORM_TILE_ROWS`-row tiles
+    on up to ``workers`` threads, which also bounds the extraction's
+    temporaries to one tile per thread.
     """
 
     def __init__(
@@ -212,9 +257,11 @@ class BatchPeakHarmonicFeature(PeakHarmonicFeature):
         num_peaks: int = DEFAULT_NUM_PEAKS,
         window_size: int = DEFAULT_WINDOW_SIZE,
         cache: PeakFeatureCache | None = None,
+        workers: int = 1,
     ):
         super().__init__(num_peaks=num_peaks, window_size=window_size)
         self.cache = cache if cache is not None else default_peak_cache()
+        self.workers = workers
 
     def _params_key(self) -> tuple:
         # extract_harmonic_peaks defaults, spelled out so the cache key
@@ -251,25 +298,35 @@ class BatchPeakHarmonicFeature(PeakHarmonicFeature):
         Runs through the cache's fused :meth:`~PeakFeatureCache.scores_for_rows`
         so each PSD row is digested exactly once: a warm row resolves its
         distance directly, a cold row fills the peaks entry and the
-        row-keyed distance entry from one batched extraction plus one
+        row-keyed distance entry from one tiled extraction plus one
         batched Algorithm 1 call.
         """
         if self.baseline_ is None:
             raise RuntimeError("feature is not fitted")
         rows = np.atleast_2d(np.asarray(psds, dtype=np.float64))
         freqs = np.asarray(frequencies, dtype=np.float64)
+
+        def extract(miss_rows: np.ndarray) -> list:
+            tiles = map_row_tiles(
+                lambda lo, hi, _: extract_harmonic_peaks_batch(
+                    miss_rows[lo:hi],
+                    freqs,
+                    num_peaks=self.num_peaks,
+                    window_size=self.window_size,
+                ),
+                0,
+                miss_rows.shape[0],
+                self.workers,
+            )
+            return [peaks for tile in tiles for peaks in tile]
+
         return self.cache.scores_for_rows(
             rows,
             freqs,
             self._params_key(),
             self.baseline_,
             float(DEFAULT_WINDOW_SIZE),
-            lambda miss_rows: extract_harmonic_peaks_batch(
-                miss_rows,
-                freqs,
-                num_peaks=self.num_peaks,
-                window_size=self.window_size,
-            ),
+            extract,
         )
 
 
@@ -340,12 +397,16 @@ class AnalysisPipeline:
         One batched orthonormal DCT-II per row tile; offsets and RMS come
         from broadcast reductions over the same tile.  Chunks of
         ``chunk_rows`` rows are memoized by content digest (and journaled
-        when a checkpoint is armed).
+        when a checkpoint is armed); a missed chunk's tiles are fanned
+        over up to ``executor.max_workers`` threads.
 
         Args:
-            samples: measurement blocks, shape ``(n, K, 3)``.
+            samples: measurement blocks, shape ``(n, K, 3)``.  float32
+                (the stored sensor format) and float64 are used as given,
+                other dtypes are cast to float64; float32 blocks give the
+                bit-identical outputs of their float64 upcast.
         """
-        blocks = np.asarray(samples, dtype=np.float64)
+        blocks = as_float_array(samples)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
         n, k = blocks.shape[0], blocks.shape[1]
@@ -391,7 +452,9 @@ class AnalysisPipeline:
                     )
         else:
             for index, lo, hi, chunk_key in missed:
-                _transform_tiled(blocks, lo, hi, offsets, rms, psd)
+                _transform_tiled(
+                    blocks, lo, hi, offsets, rms, psd, self.executor.max_workers
+                )
                 # Journal each chunk the moment it completes, so a crash
                 # mid-run resumes from here rather than from scratch.
                 if ckpt is not None:
@@ -544,7 +607,8 @@ class AnalysisPipeline:
         Args:
             pump_ids: pump identifier per measurement, shape ``(n,)``.
             service_days: pump service time (days) per measurement.
-            samples: raw blocks ``(n, K, 3)`` in g.
+            samples: raw blocks ``(n, K, 3)`` in g, float32 as stored or
+                float64 (other dtypes are cast to float64).
             train_labels: mapping from measurement index to expert zone
                 label; must contain at least one measurement of each zone
                 (A, BC and D).
@@ -556,7 +620,7 @@ class AnalysisPipeline:
         """
         ids = np.asarray(pump_ids)
         days = np.asarray(service_days, dtype=np.float64)
-        blocks = np.asarray(samples, dtype=np.float64)
+        blocks = as_float_array(samples)
         _validate_inputs(ids, days, blocks, train_labels)
 
         with self.profiled(profile) as stage:
@@ -619,6 +683,7 @@ class AnalysisPipeline:
                     num_peaks=config.num_peaks,
                     window_size=config.peak_window_size,
                     cache=self.cache,
+                    workers=self.executor.max_workers,
                 )
             )
             classifier.fit(psd[train_idx], labels, freqs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pipeline import AnalysisPipeline
+from repro.runtime.cache import as_float_array
 
 #: Backward-compatible name: the batched runtime was folded into the one
 #: analysis pipeline.
@@ -29,13 +30,16 @@ def finite_block_mask(blocks: np.ndarray) -> np.ndarray:
 
     Args:
         blocks: stacked measurement matrix, shape ``(N, K, 3)`` (or any
-            ``(N, ...)`` array — all trailing axes are reduced).
+            ``(N, ...)`` array — all trailing axes are reduced).  float32
+            and float64 are checked as given (a float32 sample is finite
+            exactly when its float64 upcast is); other dtypes are cast
+            to float64.
 
     Returns:
         Shape ``(N,)`` boolean array; ``True`` where every sample of the
         block is finite.
     """
-    arr = np.asarray(blocks, dtype=np.float64)
+    arr = as_float_array(blocks)
     if arr.ndim < 2:
         return np.isfinite(arr)
     axes = tuple(range(1, arr.ndim))

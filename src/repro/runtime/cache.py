@@ -8,7 +8,7 @@ data.  Peak extraction and the exemplar build are pure functions of
 ``(PSD bytes, frequency bytes, peak parameters)``, so a digest-keyed
 cache makes the repeats free without any risk of staleness.
 
-Keys are SHA-1 digests of the raw float64 bytes plus the parameter
+Keys are SHA-1 digests of the raw float bytes plus the parameter
 tuple — content-addressed, so two configs that hash equal *are* equal
 work.  The cache is bounded FIFO: entries beyond ``max_entries`` evict
 the oldest, which matches the streaming access pattern (old measurement
@@ -27,10 +27,27 @@ from repro.core.distance import pack_peaks, packed_harmonic_distances, peak_harm
 from repro.core.peaks import HarmonicPeaks
 
 
+def as_float_array(arr) -> np.ndarray:
+    """``arr`` as an ndarray, keeping float32 and float64 as they are.
+
+    Every other dtype is cast to float64.  Sensor matrices stay float32,
+    as stored; feature arrays are float64.
+    """
+    data = np.asarray(arr)
+    if data.dtype != np.float32:
+        data = data.astype(np.float64, copy=False)
+    return data
+
+
 def array_digest(arr: np.ndarray) -> bytes:
-    """Content digest of an array's float64 bytes (shape included)."""
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    digest = hashlib.sha1(repr(data.shape).encode())
+    """Content digest of an array's float bytes (dtype and shape included).
+
+    float32 data is hashed as float32 bytes; every other dtype as
+    float64 bytes.  The dtype is part of the key, so a float32 array and
+    its float64 upcast never share one.
+    """
+    data = np.ascontiguousarray(as_float_array(arr))
+    digest = hashlib.sha1(repr((data.dtype.str, data.shape)).encode())
     # memoryview feeds the hash without materializing a bytes copy.
     digest.update(data.data)
     return digest.digest()

@@ -28,7 +28,7 @@ Format (``manifest.json``, version 1)::
 
     {
       "version": 1,
-      "run_key": "transform-v1",
+      "run_key": "transform-v2",
       "chunks": {
         "0": {"lo": 0, "hi": 8192,
                "input_digest": "<sha1 hex of raw chunk bytes>",
@@ -97,7 +97,7 @@ class CheckpointManager:
         hits / misses: chunk-level recall counters for profiling.
     """
 
-    def __init__(self, directory: str | os.PathLike, run_key: str = "transform-v1"):
+    def __init__(self, directory: str | os.PathLike, run_key: str = "transform-v2"):
         self.directory = Path(directory)
         self.run_key = str(run_key)
         self.hits = 0

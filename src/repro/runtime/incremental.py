@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.runtime.cache import array_digest
+from repro.runtime.cache import array_digest, as_float_array
 from repro.runtime.profile import RuntimeProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,7 +77,7 @@ class IncrementalPipelineSession:
         :meth:`AnalysisPipeline.run`; the difference is purely which rows
         pay for the transform stage.
         """
-        blocks = np.asarray(samples, dtype=np.float64)
+        blocks = as_float_array(samples)
         if blocks.ndim != 3 or blocks.shape[2] != 3:
             raise ValueError(f"samples must have shape (n, K, 3), got {blocks.shape}")
         n, k = blocks.shape[0], blocks.shape[1]

@@ -154,6 +154,7 @@ class DataRetrievalAPI:
         are dropped (incomplete sensor transfers cannot be stacked), which
         implements the "eliminating invalid measurements to prevent
         unwanted computations" step of the preprocessing layer.
+        ``samples`` is float32 ``(N, K, 3)``, the stored sensor format.
         """
         pumps, mids, service, samples, _, _ = self.measurement_matrices_with_health(
             pump_ids
@@ -191,7 +192,7 @@ class DataRetrievalAPI:
                 empty.astype(int),
                 empty.astype(int),
                 empty,
-                np.empty((0, 0, 3)),
+                np.empty((0, 0, 3), dtype=np.float32),
                 {},
                 corrupt,
             )

@@ -269,8 +269,8 @@ class MeasurementStore:
     def _decode(blob: bytes, num_samples: int) -> np.ndarray:
         # Zero-copy: a read-only float32 view over the BLOB bytes — no
         # per-row allocation and no silent float64 upcast.  Consumers that
-        # need float64 math cast at the batch level (exactly: every
-        # float32 value is representable in float64).
+        # need float64 math cast where they compute (the transform casts
+        # tile by tile; exact, since every float32 is a float64).
         return np.frombuffer(blob, dtype="<f4").reshape(num_samples, 3)
 
     def add(self, measurement: Measurement) -> None:
@@ -350,14 +350,15 @@ class MeasurementStore:
         majority-``K`` filtering as :meth:`query` followed by record
         stacking — and bit-identical output — but each BLOB is decoded
         with ``np.frombuffer`` directly into one preallocated contiguous
-        ``(N, K, 3)`` float64 matrix: no per-row :class:`Measurement`
-        objects, no per-row array allocations, one exact
-        float32→float64 upcast on assignment.
+        ``(N, K, 3)`` float32 matrix: no per-row :class:`Measurement`
+        objects, no per-row array allocations, a plain copy of the BLOB
+        bytes.  The samples stay float32, as stored, which is also the
+        dtype of the record path's stacked samples.
 
         Returns:
             ``(pump_ids, measurement_ids, service_days, samples,
-            dropped_incomplete, corrupt)`` where ``samples`` has shape
-            ``(N, K, 3)``, ``dropped_incomplete`` maps pump id →
+            dropped_incomplete, corrupt)`` where ``samples`` is float32
+            of shape ``(N, K, 3)``, ``dropped_incomplete`` maps pump id →
             measurements discarded for not matching the majority block
             length, and ``corrupt`` maps pump id → rows quarantined for
             checksum mismatch.
@@ -387,7 +388,7 @@ class MeasurementStore:
                 empty.astype(int),
                 empty.astype(int),
                 empty,
-                np.empty((0, 0, 3)),
+                np.empty((0, 0, 3), dtype=np.float32),
                 {},
                 corrupt,
             )
@@ -400,7 +401,7 @@ class MeasurementStore:
         pumps = np.empty(n_keep, dtype=int)
         mids = np.empty(n_keep, dtype=int)
         service = np.empty(n_keep)
-        samples = np.empty((n_keep, k, 3))
+        samples = np.empty((n_keep, k, 3), dtype=np.float32)
         i = 0
         for (pump_id, mid, service_day, num_samples, blob, _), kept in zip(rows, keep):
             if not kept:

@@ -8,18 +8,29 @@ same operations in the same order as the per-measurement oracle in
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
+from repro.core import pipeline as pipeline_module
 from repro.core.classify import PeakHarmonicFeature
 from repro.core.features import psd_frequencies
+from repro.core.peaks import extract_harmonic_peaks_batch
 from repro.core.pipeline import (
+    TRANSFORM_TILE_ROWS,
     AnalysisPipeline,
     BatchPeakHarmonicFeature,
     PipelineConfig,
+    map_row_tiles,
 )
 from repro.runtime import FleetExecutor, PeakFeatureCache, TransformCache
 from repro.runtime.batch import BatchPipeline
+from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
+from repro.storage.database import VibrationDatabase
+from repro.storage.records import Measurement
 from tests.reference import pipeline as oracle
 from tests.reference.pipeline import ReferencePipeline
 
@@ -192,3 +203,148 @@ class TestFullRunParity:
         scalar = ReferencePipeline().run(ids, days, blocks, labels)
         batch = fresh_batch().run(ids, days, blocks, labels)
         assert_results_identical(scalar, batch)
+
+
+def float32_blocks(n: int, k: int = 64, seed: int = 3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.1, 1.0, (n, k, 3)).astype(np.float32)
+
+
+class TestTiledFanOut:
+    """Row tiles fanned over threads change no float of either stage."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3 * 256 + 5])
+    def test_float32_transform_matches_float64_upcast(self, n, workers):
+        blocks = float32_blocks(n)
+        expected = fresh_batch(executor=FleetExecutor(max_workers=1)).transform(
+            blocks.astype(np.float64)
+        )
+        got = fresh_batch(executor=FleetExecutor(max_workers=workers)).transform(
+            blocks
+        )
+        for name, want, have in zip(("offsets", "rms", "psd"), expected, got):
+            assert have.dtype == np.float64, name
+            assert np.array_equal(want, have), f"{name} diverged (n={n})"
+
+    def test_threaded_tiles_under_stress(self):
+        """More threads than cores and a tiny switch interval: a shared
+        scratch buffer or an overlapping write would corrupt rows."""
+        blocks = float32_blocks(12 * TRANSFORM_TILE_ROWS + 1, k=32)
+        expected = fresh_batch(executor=FleetExecutor(max_workers=1)).transform(blocks)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: results.append(
+                    fresh_batch(executor=FleetExecutor(max_workers=8)).transform(blocks)
+                )
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(results) == 1
+        for want, have in zip(expected, results[0]):
+            assert np.array_equal(want, have)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_in_last_tile_raises(self, workers):
+        blocks = float32_blocks(3 * 256 + 5)
+        blocks[-1, 7, 2] = np.nan
+        pipeline = fresh_batch(executor=FleetExecutor(max_workers=workers))
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.transform(blocks)
+
+    def test_earliest_failing_tile_raises_first(self):
+        def fn(lo, hi, _):
+            if lo >= TRANSFORM_TILE_ROWS:
+                raise ValueError(f"tile at {lo}")
+            return lo
+
+        for workers in (1, 2, 4):
+            with pytest.raises(ValueError, match=f"tile at {TRANSFORM_TILE_ROWS}$"):
+                map_row_tiles(fn, 0, 4 * TRANSFORM_TILE_ROWS, workers)
+
+    def test_tiles_come_back_in_order_with_per_thread_scratch(self):
+        n = 5 * TRANSFORM_TILE_ROWS + 3
+        tiles = map_row_tiles(lambda lo, hi, buf: (lo, hi, buf), 0, n, 3, list)
+        assert [(lo, hi) for lo, hi, _ in tiles] == [
+            (lo, min(lo + TRANSFORM_TILE_ROWS, n))
+            for lo in range(0, n, TRANSFORM_TILE_ROWS)
+        ]
+        assert len({id(buf) for _, _, buf in tiles}) <= 3
+
+    def test_tiled_threaded_da_equals_one_untiled_extraction(self, monkeypatch):
+        n, k = 3 * TRANSFORM_TILE_ROWS + 5, 256
+        rng = np.random.default_rng(8)
+        psd = rng.exponential(0.05, (n, k))
+        psd[::7, 60:64] = 4.0  # plateau-topped peaks
+        psd[1::7, 90] = psd[1::7, 150] = 3.0  # tied peak heights
+        psd[2::7] = 1.0  # flat rows: no peaks at all
+        freqs = psd_frequencies(k, 4000.0)
+
+        calls: list[int] = []
+
+        def recording(rows, *args, **kwargs):
+            calls.append(rows.shape[0])
+            return extract_harmonic_peaks_batch(rows, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "extract_harmonic_peaks_batch", recording)
+        feature = BatchPeakHarmonicFeature(cache=PeakFeatureCache(), workers=2)
+        tiled = feature.fit(psd[:20], freqs).score_many(psd, freqs)
+        assert len(calls) >= 3 and max(calls) <= TRANSFORM_TILE_ROWS
+
+        untiled_peaks = extract_harmonic_peaks_batch(psd, freqs)
+        tiled_peaks = feature.cache.peaks_for_rows(
+            psd, freqs, feature._params_key(), lambda rows: pytest.fail("miss")
+        )
+        for want, have in zip(untiled_peaks, tiled_peaks):
+            assert np.array_equal(want.frequencies, have.frequencies)
+            assert np.array_equal(want.values, have.values)
+        untiled = PeakHarmonicFeature().fit(psd[:20], freqs).score_many(psd, freqs)
+        assert np.array_equal(untiled, tiled, equal_nan=True)
+
+
+class TestFloat32EngineQuarantine:
+    def test_nan_row_of_float32_matrix_is_quarantined(self, small_fleet):
+        def engine_over(poison: bool):
+            db = VibrationDatabase()
+            small_fleet.to_database(db)
+            records, _ = small_fleet.expert_labels({"A": 30, "BC": 30, "D": 20})
+            db.labels.add_many(records)
+            if poison:
+                first = db.measurements.query()[0]
+                samples = np.array(first.samples)
+                samples[3, 1] = np.nan
+                db.measurements.add_many(
+                    [
+                        Measurement(
+                            pump_id=first.pump_id,
+                            measurement_id=10**6,
+                            timestamp_day=first.timestamp_day,
+                            service_day=first.service_day,
+                            samples=samples,
+                        )
+                    ]
+                )
+            api = DataRetrievalAPI(
+                db, AnalysisPeriod(0.0, small_fleet.config.duration_days + 1)
+            )
+            assert api.measurement_matrices()[3].dtype == np.float32
+            config = EngineConfig(
+                pipeline=PipelineConfig(ransac_min_inliers=25), rotation_hz=29.0
+            )
+            return VibrationAnalysisEngine(api, config).run(), db
+
+        clean, clean_db = engine_over(poison=False)
+        poisoned, poisoned_db = engine_over(poison=True)
+        health = poisoned.data_health
+        pump = int(clean_db.measurements.query()[0].pump_id)
+        assert health.quarantined_nonfinite == {pump: 1}
+        assert health.analyzed == health.total_retrieved - 1
+        assert health.analyzed == clean.data_health.analyzed
+        assert np.array_equal(clean.pipeline.da, poisoned.pipeline.da, equal_nan=True)
+        clean_db.close()
+        poisoned_db.close()

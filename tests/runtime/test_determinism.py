@@ -18,8 +18,9 @@ import pytest
 from repro.analysis.engine import EngineConfig, VibrationAnalysisEngine
 from repro.analysis.reporting import render_report
 from repro.cli import main
-from repro.core.pipeline import PipelineConfig
-from repro.runtime import RuntimeProfile
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import TRANSFORM_TILE_ROWS, PipelineConfig
+from repro.runtime import RuntimeProfile, default_peak_cache
 from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
 from repro.storage.database import VibrationDatabase
 from tests.reference.pipeline import make_reference_pipeline
@@ -74,6 +75,21 @@ class TestReportDeterminism:
             engine_for(seeded_api, workers=4).run()
         )
         assert threaded_text == serial_text
+
+    def test_threaded_row_tiles_report_byte_identical(self, seeded_api, monkeypatch):
+        """Serial vs threaded row tiles of the transform and ``D_a`` stages.
+
+        16-row tiles give both stages many tiles to fan out; the shared
+        peak cache is emptied before each run so every run extracts.
+        """
+        assert seeded_api.database.measurements.count() > TRANSFORM_TILE_ROWS
+        monkeypatch.setattr(pipeline_module, "TRANSFORM_TILE_ROWS", 16)
+        texts = []
+        for workers in (1, 2, 4):
+            default_peak_cache().clear()
+            texts.append(render_report(engine_for(seeded_api, workers=workers).run()))
+        assert texts[1] == texts[0]
+        assert texts[2] == texts[0]
 
     def test_same_engine_twice_is_identical(self, seeded_api):
         engine = engine_for(seeded_api, workers=4)

@@ -164,6 +164,11 @@ class TestArrayDigest:
         strided = a[:, ::2]
         assert array_digest(strided) == array_digest(strided.copy())
 
+    def test_float32_is_hashed_as_float32_with_its_dtype_in_the_key(self):
+        a = np.linspace(-1.0, 1.0, 24, dtype=np.float32).reshape(8, 3)
+        assert array_digest(a) == array_digest(a.copy())
+        assert array_digest(a) != array_digest(a.astype(np.float64))
+
 
 class TestRuntimeProfile:
     def test_stage_accumulation(self):

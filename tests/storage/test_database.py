@@ -117,8 +117,8 @@ class TestQueryArrays:
         assert list(pumps) == [m.pump_id for m in records]
         assert list(mids) == [m.measurement_id for m in records]
         assert list(service) == [m.service_day for m in records]
-        stacked = np.stack([m.samples for m in records]).astype(np.float64)
-        assert samples.dtype == np.float64
+        stacked = np.stack([m.samples for m in records])
+        assert samples.dtype == stacked.dtype == np.float32
         assert np.array_equal(samples, stacked)
 
     def test_filters_match_record_query(self, db):
