@@ -24,7 +24,7 @@ incremental:
   SHA-1 digests of the prefix window — refresh days that saw no new data
   reuse the previous fit outright; and
 * independent as-of days can be fanned across a
-  :class:`~repro.runtime.fleet.FleetExecutor` (thread backend), since
+  :class:`~repro.runtime.fleet.FleetExecutor`'s threads, since
   every day clones its engine from pristine RNG state.
 
 The straightforward per-day rescan loop over the same time-sorted data
@@ -255,9 +255,9 @@ def backtest_rul(
         fit_cache: memo for per-day model fits, keyed by engine config +
             window content digest; the process-wide default when None.
         executor: optional :class:`~repro.runtime.fleet.FleetExecutor`
-            (thread backend) to fan independent as-of days across
-            workers; results are ordering-independent because each day's
-            fit starts from pristine engine state.
+            to fan independent as-of days across worker threads;
+            results are ordering-independent because each day's fit
+            starts from pristine engine state.
         profile: optional :class:`~repro.runtime.profile.RuntimeProfile`
             receiving ``backtest.fit_models`` / ``backtest.predict``
             stages and fit-cache hit/miss counters.

@@ -73,15 +73,6 @@ def _add_analyze_parser(subparsers) -> None:
         help="fleet-executor worker count (default auto; 0/1 forces serial)",
     )
     p.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "fleet-executor backend; 'process' sidesteps the GIL for"
-            " file-backed databases (in-memory DBs fall back to threads)"
-        ),
-    )
-    p.add_argument(
         "--supervise",
         action="store_true",
         help=(
@@ -253,6 +244,20 @@ def _cmd_analyze(args, out, blas_threads: int | None) -> int:
     if args.resume and args.checkpoint and args.resume != args.checkpoint:
         print("error: --resume and --checkpoint name different directories", file=out)
         return 2
+    # Reject bad values before the database is opened or any analysis runs.
+    try:
+        period = AnalysisPeriod(args.start, args.end)
+        if not args.horizon > 0:
+            raise ValueError("--horizon must be positive")
+        config = EngineConfig(
+            pipeline=PipelineConfig(moving_average_window=args.moving_average),
+            max_workers=args.workers,
+            supervision=SupervisionPolicy() if args.supervise else None,
+            checkpoint_dir=checkpoint_dir,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     if args.resume is not None:
         manifest = os.path.join(args.resume, MANIFEST_NAME)
         if not os.path.exists(manifest):
@@ -265,17 +270,7 @@ def _cmd_analyze(args, out, blas_threads: int | None) -> int:
             )
 
     with VibrationDatabase(args.db) as db:
-        api = DataRetrievalAPI(db, AnalysisPeriod(args.start, args.end))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average),
-                max_workers=args.workers,
-                executor_backend=args.backend,
-                supervision=SupervisionPolicy() if args.supervise else None,
-                checkpoint_dir=checkpoint_dir,
-            ),
-        )
+        engine = VibrationAnalysisEngine(DataRetrievalAPI(db, period), config)
         profile = RuntimeProfile() if args.profile else None
         if profile is not None and blas_threads is not None:
             profile.count("blas_threads", blas_threads)
@@ -358,14 +353,16 @@ def _cmd_schedule(args, out) -> int:
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
 
+    try:
+        config = EngineConfig(
+            pipeline=PipelineConfig(moving_average_window=args.moving_average)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     with VibrationDatabase(args.db) as db:
         api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average)
-            ),
-        )
+        engine = VibrationAnalysisEngine(api, config)
         try:
             report = engine.run()
         except ValueError as exc:
@@ -400,14 +397,16 @@ def _cmd_dashboard(args, out) -> int:
     from repro.storage.database import VibrationDatabase
     from repro.viz.dashboard import write_dashboard
 
+    try:
+        config = EngineConfig(
+            pipeline=PipelineConfig(moving_average_window=args.moving_average)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 1
     with VibrationDatabase(args.db) as db:
         api = DataRetrievalAPI(db, AnalysisPeriod(0.0, 1e9))
-        engine = VibrationAnalysisEngine(
-            api,
-            EngineConfig(
-                pipeline=PipelineConfig(moving_average_window=args.moving_average)
-            ),
-        )
+        engine = VibrationAnalysisEngine(api, config)
         try:
             report = engine.run()
         except ValueError as exc:
@@ -440,8 +439,7 @@ def _pin_blas_threads() -> int | None:
     and OpenBLAS threads cost more than they save on them, even on an
     idle machine and with one fleet worker.  An exported
     ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins: the libraries
-    then keep the count they loaded with.  Forked process-backend
-    workers inherit the setting.
+    then keep the count they loaded with.
 
     Returns:
         The largest thread count read back from the libraries, or None

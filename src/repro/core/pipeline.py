@@ -27,7 +27,7 @@ API.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -56,7 +56,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.fleet import FleetExecutor
 from repro.runtime.profile import RuntimeProfile
-from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
 #: Rows per transform chunk.  8192 blocks of (1024, 3) float64 is ~192 MiB
 #: of input per chunk — enough to amortize the DCT call, small enough to
@@ -85,8 +84,8 @@ class PipelineConfig:
         num_peaks: ``n_p`` of the harmonic peak extraction.
         peak_window_size: ``n_h`` Hann smoothing window.
         moving_average_window: trailing window (in measurements) applied
-            to each pump's ``D_a`` series; 1 disables smoothing.  The
-            paper defaults to one day of measurements.
+            to each pump's ``D_a`` series; at least 1, and 1 disables
+            smoothing.  The paper defaults to one day of measurements.
         outlier: invalid-measurement detection configuration.
         ransac_min_inliers: minimum support for a lifetime model.
         ransac_residual_threshold: inlier band for lifetime models; None
@@ -102,6 +101,10 @@ class PipelineConfig:
     ransac_min_inliers: int = 30
     ransac_residual_threshold: float | None = None
     ransac_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.moving_average_window < 1:
+            raise ValueError("moving_average_window must be positive")
 
 
 @dataclass
@@ -173,12 +176,12 @@ def _transform_tiled(
     """Compute transform outputs for rows ``[lo, hi)`` tile by tile.
 
     Writes the mean offsets, RMS and PSD rows in place, tiles fanned
-    over up to ``workers`` threads.  Both the in-process chunk loop and
-    the shared-memory worker run this exact function, so outputs are
-    bit-identical regardless of which backend (or which chunking, or how
-    many threads) executed a row.  float32 blocks are upcast tile by
-    tile into a float64 scratch buffer, exactly, before the unchanged op
-    sequence, so they transform bit-identically to their float64 upcast.
+    over up to ``workers`` threads.  Every transform chunk runs through
+    this exact function, so outputs are bit-identical regardless of the
+    chunking or how many threads executed a row.  float32 blocks are
+    upcast tile by tile into a float64 scratch buffer, exactly, before
+    the unchanged op sequence, so they transform bit-identically to
+    their float64 upcast.
 
     Raises:
         ValueError: if any sample in ``[lo, hi)`` is non-finite.
@@ -219,25 +222,6 @@ def _transform_tiled(
         psd[tlo:thi] = coeffs.sum(axis=1)
 
     map_row_tiles(transform_tile, lo, hi, workers, scratch)
-
-
-def _transform_chunk_in_process(
-    payload: tuple[SharedArraySpec, SharedArraySpec, SharedArraySpec, SharedArraySpec, int, int],
-) -> None:
-    """Worker body of the process-parallel transform.
-
-    Attaches to the shared input matrix and the three shared output
-    buffers, computes one row chunk with the exact op sequence of the
-    in-process chunk loop (so outputs are bit-identical regardless of
-    which process ran the chunk), and writes only its ``[lo, hi)`` slice.
-    """
-    in_spec, off_spec, rms_spec, psd_spec, lo, hi = payload
-    with attached_view(in_spec) as blocks, attached_view(
-        off_spec, writable=True
-    ) as offsets, attached_view(rms_spec, writable=True) as rms, attached_view(
-        psd_spec, writable=True
-    ) as psd:
-        _transform_tiled(blocks, lo, hi, offsets, rms, psd)
 
 
 class BatchPeakHarmonicFeature(PeakHarmonicFeature):
@@ -442,26 +426,17 @@ class AnalysisPipeline:
                     resumed.append((index, lo, hi, chunk_key))
                     continue
             missed.append((index, lo, hi, chunk_key))
-        if self._use_process_transform(missed):
-            self._transform_chunks_in_processes(blocks, missed, offsets, rms, psd)
+        for index, lo, hi, chunk_key in missed:
+            _transform_tiled(
+                blocks, lo, hi, offsets, rms, psd, self.executor.max_workers
+            )
+            # Journal each chunk the moment it completes, so a crash
+            # mid-run resumes from here rather than from scratch.
             if ckpt is not None:
-                for index, lo, hi, chunk_key in missed:
-                    ckpt.record_chunk(
-                        index, lo, hi, chunk_key,
-                        offsets[lo:hi], rms[lo:hi], psd[lo:hi],
-                    )
-        else:
-            for index, lo, hi, chunk_key in missed:
-                _transform_tiled(
-                    blocks, lo, hi, offsets, rms, psd, self.executor.max_workers
+                ckpt.record_chunk(
+                    index, lo, hi, chunk_key,
+                    offsets[lo:hi], rms[lo:hi], psd[lo:hi],
                 )
-                # Journal each chunk the moment it completes, so a crash
-                # mid-run resumes from here rather than from scratch.
-                if ckpt is not None:
-                    ckpt.record_chunk(
-                        index, lo, hi, chunk_key,
-                        offsets[lo:hi], rms[lo:hi], psd[lo:hi],
-                    )
         if missed or resumed:
             # Ownership transfer: freeze the result buffers and store the
             # missed chunks as views instead of copies — copying
@@ -476,51 +451,6 @@ class AnalysisPipeline:
                     chunk_key, offsets[lo:hi], rms[lo:hi], psd[lo:hi]
                 )
         return offsets, rms, psd
-
-    def _use_process_transform(self, missed: list[tuple[int, int, int, bytes]]) -> bool:
-        """Process-parallel transform only when it can actually pay off.
-
-        Requires the executor's process backend (opt-in), more than one
-        missed chunk to spread across workers, and a pool bigger than
-        one — otherwise the in-process chunk loop is strictly cheaper.
-        """
-        return (
-            self.executor.backend == "process"
-            and self.executor.max_workers > 1
-            and len(missed) > 1
-        )
-
-    def _transform_chunks_in_processes(
-        self,
-        blocks: np.ndarray,
-        missed: list[tuple[int, int, int, bytes]],
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-    ) -> None:
-        """Fan missed transform chunks across a process pool via shm.
-
-        The measurement matrix is placed in shared memory once (workers
-        attach read-only; nothing is pickled per task) and each worker
-        writes its chunk's rows into shared output buffers.  Chunk
-        boundaries and per-chunk op order match the in-process loop, so
-        outputs are bit-identical.  A failing chunk (non-finite samples)
-        raises the same ValueError, earliest chunk first.
-        """
-        with SharedArray(blocks) as shm_in, SharedArray(offsets) as shm_off, SharedArray(
-            rms
-        ) as shm_rms, SharedArray(psd) as shm_psd:
-            payloads = [
-                (shm_in.spec, shm_off.spec, shm_rms.spec, shm_psd.spec, lo, hi)
-                for _, lo, hi, _key in missed
-            ]
-            workers = min(self.executor.max_workers, len(missed))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_transform_chunk_in_process, payloads))
-            for _, lo, hi, _key in missed:
-                offsets[lo:hi] = shm_off.view[lo:hi]
-                rms[lo:hi] = shm_rms.view[lo:hi]
-                psd[lo:hi] = shm_psd.view[lo:hi]
 
     def preprocess(
         self,

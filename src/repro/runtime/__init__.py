@@ -5,10 +5,10 @@ runs the whole measurement matrix through vectorized kernels and builds
 on the primitives of this package:
 
 * :class:`~repro.runtime.fleet.FleetExecutor` — per-pump RUL and
-  diagnosis chains fanned across worker threads or processes with
-  chunked scheduling and deterministic result ordering (the process
-  backend ships large matrices through shared memory, see
-  :mod:`repro.runtime.shm`);
+  diagnosis chains fanned across a worker thread pool (or run serially
+  for 0/1 workers) with chunked scheduling and deterministic result
+  ordering; its worker count also sizes the row-tile threads of the
+  pipeline's transform and ``D_a`` extraction;
 * :class:`~repro.runtime.incremental.IncrementalPipelineSession` —
   rolling-window analysis that transforms only never-seen measurement
   rows, recalling the overlap from a content-addressed per-row store;
@@ -43,7 +43,6 @@ from repro.runtime.fleet import (
 )
 from repro.runtime.incremental import IncrementalPipelineSession
 from repro.runtime.profile import RuntimeProfile, StageStats
-from repro.runtime.shm import SharedArray, SharedArraySpec, attached_view
 
 __all__ = [
     "ABANDONED",
@@ -53,15 +52,12 @@ __all__ = [
     "ModelFitCache",
     "PeakFeatureCache",
     "RuntimeProfile",
-    "SharedArray",
-    "SharedArraySpec",
     "StageStats",
     "SupervisionExhaustedError",
     "SupervisionPolicy",
     "SupervisionReport",
     "TransformCache",
     "WorkerKilledError",
-    "attached_view",
     "default_model_fit_cache",
     "default_peak_cache",
 ]

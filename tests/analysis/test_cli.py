@@ -32,7 +32,7 @@ def smoke_db(tmp_path_factory):
     return db_path
 
 
-def run_python(args, **env_overrides):
+def spawn_python(args, **env_overrides):
     """Run ``python *args`` in a fresh process with this checkout's
     ``repro`` importable and no BLAS thread setting inherited."""
     env = {key: value for key, value in os.environ.items()
@@ -40,8 +40,13 @@ def run_python(args, **env_overrides):
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def run_python(args, **env_overrides):
+    """:func:`spawn_python` that must succeed; returns its stdout."""
+    proc = spawn_python(args, **env_overrides)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -129,6 +134,32 @@ class TestSimulateAnalyze:
         assert code == 1
         assert "error" in text
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--start", "30", "--end", "10"],
+             "error: end_day must be greater than start_day"),
+            (["--horizon", "-5"], "error: --horizon must be positive"),
+        ],
+        ids=["reversed-period", "negative-horizon"],
+    )
+    def test_analyze_rejects_bad_values_without_traceback(
+        self, smoke_db, flags, message
+    ):
+        proc = spawn_python(["-m", "repro", "analyze", "--db", smoke_db, *flags])
+        assert proc.returncode == 1
+        assert message in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "schedule", "dashboard"])
+    def test_moving_average_below_one_is_an_error(self, smoke_db, command, tmp_path):
+        argv = [command, "--db", smoke_db, "--moving-average", "0"]
+        if command == "dashboard":
+            argv += ["--out", str(tmp_path / "dash.html")]
+        code, text = run_cli(argv)
+        assert code == 1
+        assert "error: moving_average_window must be positive" in text
+
     @pytest.mark.parametrize("threads", [None, 3])
     def test_profile_records_blas_threads_when_readable(
         self, smoke_db, monkeypatch, threads
@@ -146,7 +177,8 @@ class TestSimulateAnalyze:
 # Runs in a fresh process: which modules a cold ``repro analyze`` loads.
 _IMPORT_GUARD = """
 import io, json, sys
-LAZY = ("scipy.signal", "scipy.stats")
+LAZY = ("scipy.signal", "scipy.stats",
+        "multiprocessing.shared_memory", "concurrent.futures.process")
 import repro.cli
 loaded = {"import": [m for m in LAZY if m in sys.modules]}
 assert repro.cli.main(["analyze", "--db", sys.argv[1]], out=io.StringIO()) == 0

@@ -71,28 +71,12 @@ def test_fault_free_transport_stores_everything(reference, fleet_dataset):
     assert reference.transport.failed == 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_supervised_zero_fault_is_byte_identical(
-    reference, scenario, fleet_dataset, backend
-):
+def test_supervised_zero_fault_is_byte_identical(reference, scenario, fleet_dataset):
     """Arming supervision must be invisible when nothing goes wrong:
-    same chunk boundaries, same assembly order, byte-identical report —
-    on the thread and the process backend alike."""
-    supervised = replace(
-        scenario, max_workers=2, backend=backend, supervision=SupervisionPolicy()
-    )
+    same chunk boundaries, same assembly order, byte-identical report."""
+    supervised = replace(scenario, max_workers=2, supervision=SupervisionPolicy())
     result = run_chaos_scenario(ZERO_FAULTS, supervised, dataset=fleet_dataset)
     assert result.failure is None
     assert result.text == reference.text
     assert result.supervision is not None
     assert not result.supervision.has_activity
-
-
-def test_process_backend_zero_fault_is_byte_identical(
-    reference, scenario, fleet_dataset
-):
-    """The unsupervised process pool is parity-bound too."""
-    proc = replace(scenario, max_workers=2, backend="process")
-    result = run_chaos_scenario(ZERO_FAULTS, proc, dataset=fleet_dataset)
-    assert result.failure is None
-    assert result.text == reference.text

@@ -97,6 +97,12 @@ class TestRun:
         smooth_rough = np.diff(smoothed.da[order]).std()
         assert smooth_rough <= raw_rough + 1e-12
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_config_rejects_window_below_one(self, window):
+        # A window below 1 would silently turn smoothing off.
+        with pytest.raises(ValueError, match="moving_average_window"):
+            PipelineConfig(moving_average_window=window)
+
     def test_full_run_matches_scalar_oracle(self, fleet_inputs):
         _, pumps, service, samples, labels = fleet_inputs
         config = PipelineConfig(moving_average_window=5, ransac_min_inliers=25)

@@ -82,7 +82,7 @@ class TestReportDeterminism:
         16-row tiles give both stages many tiles to fan out; the shared
         peak cache is emptied before each run so every run extracts.
         """
-        assert seeded_api.database.measurements.count() > TRANSFORM_TILE_ROWS
+        assert len(seeded_api.get_measurements()) > TRANSFORM_TILE_ROWS
         monkeypatch.setattr(pipeline_module, "TRANSFORM_TILE_ROWS", 16)
         texts = []
         for workers in (1, 2, 4):
@@ -116,7 +116,7 @@ class TestProfiledRunDeterminism:
         # Retrieval first, then every pipeline stage, then diagnosis.
         stages = list(profile.stages)
         assert stages[0] == "retrieve"
-        retrieved = seeded_api.database.measurements.count()
+        retrieved = len(seeded_api.get_measurements())
         assert profile.stages["retrieve"].items == retrieved
         for stage in ("transform", "preprocess", "score_da", "predict_rul"):
             assert stage in stages

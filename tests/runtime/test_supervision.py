@@ -13,7 +13,6 @@ from collections import deque
 
 import pytest
 
-from repro.chaos.plan import FaultPlan
 from repro.runtime.fleet import (
     ABANDONED,
     FleetExecutor,
@@ -35,15 +34,12 @@ class ScriptedFaults:
     """Duck-typed injector with a scripted kill/hang stream.
 
     ``kills`` / ``hangs`` are consumed one entry per chunk submission, in
-    submission order; exhausted scripts mean "no fault".  Carries an
-    empty :class:`FaultPlan` so the process-backend eligibility probe
-    (which inspects ``injector.plan``) sees no ``fleet.task`` specs.
+    submission order; exhausted scripts mean "no fault".
     """
 
     def __init__(self, kills=(), hangs=()):
         self._kills = deque(kills)
         self._hangs = deque(hangs)
-        self.plan = FaultPlan("scripted", seed=0, specs=())
 
     def kills(self, point):
         return bool(self._kills.popleft()) if self._kills else False
@@ -70,15 +66,6 @@ class TestZeroInterventionParity:
         )
         assert not supervised.supervision_report.has_activity
         assert supervised.supervision_report.chunks == 10
-
-    def test_process_backend_supervised_parity(self):
-        items = list(range(20))
-        supervised = FleetExecutor(
-            max_workers=2, chunk_size=5, backend="process", supervision=FAST
-        )
-        assert supervised.map_ordered(double, items) == [double(x) for x in items]
-        assert supervised.last_backend == "process"
-        assert not supervised.supervision_report.has_activity
 
     def test_unsupervised_executor_has_no_report(self):
         assert FleetExecutor(max_workers=2).supervision_report is None
@@ -109,22 +96,6 @@ class TestRestarts:
         assert ex.map_ordered(double, items) == [double(x) for x in items]
         assert ex.supervision_report.worker_deaths == 2
         assert ex.supervision_report.restarts == 2
-
-    def test_process_pool_survives_real_worker_death(self):
-        """A killed process chunk exits hard (``os._exit``); the broken
-        pool is rebuilt and the chunk re-run elsewhere."""
-        ex = FleetExecutor(
-            max_workers=2,
-            chunk_size=5,
-            backend="process",
-            injector=ScriptedFaults(kills=[1]),
-            supervision=FAST,
-        )
-        items = list(range(20))
-        assert ex.map_ordered(double, items) == [double(x) for x in items]
-        assert ex.last_backend == "process"
-        assert ex.supervision_report.worker_deaths >= 1
-        assert ex.supervision_report.restarts >= 1
 
     def test_hung_chunk_is_deadlined_and_restarted(self):
         policy = SupervisionPolicy(
