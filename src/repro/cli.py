@@ -353,7 +353,15 @@ def _cmd_schedule(args, out) -> int:
     from repro.storage.api import AnalysisPeriod, DataRetrievalAPI
     from repro.storage.database import VibrationDatabase
 
+    # Reject bad values before the database is opened or any analysis runs.
     try:
+        if args.horizon < 1:
+            raise ValueError("--horizon must be positive")
+        scheduler = MaintenanceScheduler(
+            period_days=args.period_days,
+            capacity_per_period=args.capacity,
+            safety_margin_days=args.margin_days,
+        )
         config = EngineConfig(
             pipeline=PipelineConfig(moving_average_window=args.moving_average)
         )
@@ -368,11 +376,6 @@ def _cmd_schedule(args, out) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=out)
             return 1
-        scheduler = MaintenanceScheduler(
-            period_days=args.period_days,
-            capacity_per_period=args.capacity,
-            safety_margin_days=args.margin_days,
-        )
         plan = scheduler.plan(report.rul, horizon_periods=args.horizon)
         if not plan.replacements:
             print("no replacements due within the horizon", file=out)

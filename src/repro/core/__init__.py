@@ -12,7 +12,6 @@ live in sibling subpackages.
 """
 
 from repro.core.features import (
-    FeatureConfig,
     normalize_measurement,
     psd_feature,
     psd_frequencies,
@@ -20,11 +19,7 @@ from repro.core.features import (
 )
 from repro.core.window import hann_window, moving_average, smooth_hann
 from repro.core.peaks import HarmonicPeaks, extract_harmonic_peaks
-from repro.core.distance import (
-    euclidean_distance,
-    mahalanobis_distance,
-    peak_harmonic_distance,
-)
+from repro.core.distance import peak_harmonic_distance
 from repro.core.kde import GaussianKDE1D, min_error_threshold
 from repro.core.meanshift import MeanShift, MeanShiftResult
 from repro.core.outliers import OutlierConfig, detect_invalid_measurements
@@ -54,16 +49,9 @@ from repro.core.forecast import (
     crossing_forecast,
 )
 from repro.core.diagnosis import Diagnosis, SpectralDiagnoser
-from repro.core.changepoint import (
-    Changepoint,
-    detect_changepoints,
-    detect_replacements,
-)
 from repro.core.severity import SeverityAssessment, assess_severity, velocity_rms_mm_s
-from repro.core.spectral import envelope_spectrum
 
 __all__ = [
-    "FeatureConfig",
     "normalize_measurement",
     "rms_feature",
     "psd_feature",
@@ -74,8 +62,6 @@ __all__ = [
     "HarmonicPeaks",
     "extract_harmonic_peaks",
     "peak_harmonic_distance",
-    "euclidean_distance",
-    "mahalanobis_distance",
     "GaussianKDE1D",
     "min_error_threshold",
     "MeanShift",
@@ -108,11 +94,7 @@ __all__ = [
     "draw_trial_pairs",
     "Diagnosis",
     "SpectralDiagnoser",
-    "Changepoint",
-    "detect_changepoints",
-    "detect_replacements",
     "SeverityAssessment",
     "assess_severity",
     "velocity_rms_mm_s",
-    "envelope_spectrum",
 ]

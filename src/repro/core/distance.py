@@ -9,9 +9,9 @@ matching, a disagreement at a high frequency costs more than the same
 disagreement at a low frequency — deliberately, since degrading equipment
 gives off high-frequency noise.
 
-Two baseline metrics used in the paper's comparison (Figs. 12–14) are also
-provided: plain Euclidean distance between PSD vectors and the Mahalanobis
-distance with a covariance estimated from reference (Zone A) samples.
+The Mahalanobis baseline of the paper's comparison (Figs. 12–14) is also
+provided, with a covariance estimated from reference (Zone A) samples; the
+plain Euclidean baseline is :class:`~repro.core.classify.EuclideanFeature`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.core.peaks import DEFAULT_WINDOW_SIZE, HarmonicPeaks
 
@@ -318,32 +317,6 @@ def packed_harmonic_distances(
     return out
 
 
-def peak_harmonic_distances(
-    peaks_list: list[HarmonicPeaks],
-    reference: HarmonicPeaks,
-    match_tolerance_hz: float = float(DEFAULT_WINDOW_SIZE),
-) -> np.ndarray:
-    """``D_a`` of every feature in ``peaks_list`` from a shared reference.
-
-    Semantically ``[peak_harmonic_distance(p, reference) for p in
-    peaks_list]`` and bit-identical to that loop, but executed through
-    the padded-array kernel (:func:`packed_harmonic_distances`) so the
-    whole batch runs in vectorized numpy passes — the single entry point
-    batched callers and the memoization layer wrap.
-
-    Args:
-        peaks_list: harmonic peak features, one per measurement.
-        reference: the shared exemplar (typically the Zone A baseline).
-        match_tolerance_hz: forwarded to :func:`peak_harmonic_distance`.
-
-    Returns:
-        Float array of distances aligned with ``peaks_list``.
-    """
-    return packed_harmonic_distances(
-        pack_peaks(peaks_list), reference, match_tolerance_hz=match_tolerance_hz
-    )
-
-
 def _nearest_unconsumed(
     sorted_freqs: list[float], consumed: list[bool], target: float
 ) -> int:
@@ -379,15 +352,6 @@ def _nearest_unconsumed(
             else:
                 right += 1
     return best
-
-
-def euclidean_distance(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
-    """Plain Euclidean distance between two equal-length feature vectors."""
-    a = np.asarray(vec_a, dtype=np.float64)
-    b = np.asarray(vec_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 class MahalanobisMetric:
@@ -435,11 +399,11 @@ class MahalanobisMetric:
             raise ValueError(
                 f"shape mismatch: {matrix.shape[1]} vs {self.mean_.shape[0]}"
             )
+        # Imported here: ``repro analyze`` never builds this metric, and
+        # scipy.linalg would add its import time to every cold start.
+        from scipy.linalg import solve_triangular
+
         deltas = matrix - self.mean_[None, :]
         solved = solve_triangular(self._chol, deltas.T, lower=True)
         return np.linalg.norm(solved, axis=0)
 
-
-def mahalanobis_distance(vec: np.ndarray, reference: np.ndarray, shrinkage: float = 0.1) -> float:
-    """One-shot Mahalanobis distance of ``vec`` from ``reference`` samples."""
-    return MahalanobisMetric(reference, shrinkage=shrinkage).distance(vec)

@@ -27,34 +27,10 @@ classifiers are scale-equivariant in the feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import dct
 
 AXES = ("x", "y", "z")
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Configuration for feature extraction.
-
-    Attributes:
-        sampling_rate_hz: sampling frequency of the measurement block; used
-            only to attach physical frequencies to PSD bins.
-        samples_per_measurement: expected ``K``; measurements with a
-            different length are rejected to prevent silently comparing
-            incompatible feature vectors.
-    """
-
-    sampling_rate_hz: float = 4000.0
-    samples_per_measurement: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
-        if self.samples_per_measurement < 2:
-            raise ValueError("samples_per_measurement must be at least 2")
 
 
 def _as_measurement(samples: np.ndarray) -> np.ndarray:
@@ -107,13 +83,6 @@ def rms_feature(samples: np.ndarray) -> float:
     k = normalized.shape[0]
     per_axis_sq = (normalized**2).sum(axis=0) / k
     return float(np.sqrt(per_axis_sq.sum()))
-
-
-def rms_per_axis(samples: np.ndarray) -> np.ndarray:
-    """Per-axis RMS values ``(rms_x, rms_y, rms_z)``."""
-    normalized = normalize_measurement(samples)
-    k = normalized.shape[0]
-    return np.sqrt((normalized**2).sum(axis=0) / k)
 
 
 def psd_feature(samples: np.ndarray, per_axis: bool = False) -> np.ndarray:
@@ -195,16 +164,3 @@ def psd_frequencies(num_samples: int, sampling_rate_hz: float) -> np.ndarray:
     k = np.arange(num_samples)
     return k * sampling_rate_hz / (2.0 * num_samples)
 
-
-def extract_features(samples: np.ndarray, config: FeatureConfig) -> tuple[float, np.ndarray]:
-    """Convenience wrapper returning ``(rms, psd)`` for one measurement.
-
-    Raises:
-        ValueError: when the block length differs from the configured ``K``.
-    """
-    arr = _as_measurement(samples)
-    if arr.shape[0] != config.samples_per_measurement:
-        raise ValueError(
-            f"expected K={config.samples_per_measurement} samples, got {arr.shape[0]}"
-        )
-    return rms_feature(arr), psd_feature(arr)

@@ -13,7 +13,7 @@ on the primitives of this package:
   rolling-window analysis that transforms only never-seen measurement
   rows, recalling the overlap from a content-addressed per-row store;
 * :class:`~repro.runtime.cache.PeakFeatureCache` — memoized exemplar
-  peaks / per-row peak features / peak distances keyed by config hash
+  peaks / per-row peak features / row ``D_a`` keyed by config hash
   and data digest, so repeated scoring of the same rows (classifier
   training + full-fleet scoring, repeated engine runs) is paid once;
 * :class:`~repro.runtime.profile.RuntimeProfile` — per-stage wall-clock

@@ -23,7 +23,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.distance import pack_peaks, packed_harmonic_distances, peak_harmonic_distance
+from repro.core.distance import pack_peaks, packed_harmonic_distances
 from repro.core.peaks import HarmonicPeaks
 
 
@@ -54,7 +54,7 @@ def array_digest(arr: np.ndarray) -> bytes:
 
 
 class PeakFeatureCache:
-    """Bounded, thread-safe memo for peak features and peak distances.
+    """Bounded, thread-safe memo for peak features and row ``D_a`` values.
 
     Three content-addressed namespaces share one eviction budget:
 
@@ -62,8 +62,11 @@ class PeakFeatureCache:
       ``(psd digest, freqs digest, peak params)``;
     * ``exemplar``: Zone A baseline features keyed the same way (the
       exemplar is just the peak feature of the mean reference PSD);
-    * ``distance``: scalar ``D_a`` values keyed by the two peak-feature
-      digests and the match tolerance.
+    * ``distance``: scalar ``D_a`` values keyed by the PSD row digest,
+      the freqs digest, the peak params, the exemplar's peak-feature
+      digest and the match tolerance.
+
+    :meth:`scores_for_rows` is the one lookup path for row scores.
     """
 
     def __init__(self, max_entries: int = 200_000):
@@ -132,39 +135,6 @@ class PeakFeatureCache:
     ) -> tuple:
         return (int(num_peaks), int(window_size), int(skip_dc_bins), float(min_significance))
 
-    def peaks_for_rows(
-        self,
-        psds: np.ndarray,
-        frequencies: np.ndarray,
-        params_key: tuple,
-        compute_batch,
-    ) -> list[HarmonicPeaks]:
-        """Peak features for every PSD row, batch-computing only misses.
-
-        Args:
-            psds: ``(n, K)`` PSD matrix.
-            frequencies: ``(K,)`` bin frequencies.
-            params_key: :meth:`peak_params_key` of the extraction config.
-            compute_batch: callable ``(rows) -> list[HarmonicPeaks]``
-                invoked once over the stacked miss rows.
-
-        Returns:
-            One feature per row, cache-backed, in row order.
-        """
-        rows = np.atleast_2d(np.asarray(psds, dtype=np.float64))
-        freq_digest = array_digest(frequencies)
-        keys = [
-            ("peaks", array_digest(row), freq_digest, params_key) for row in rows
-        ]
-        out: list[HarmonicPeaks | None] = [self._get(key) for key in keys]
-        miss_idx = [i for i, value in enumerate(out) if value is None]
-        if miss_idx:
-            computed = compute_batch(rows[miss_idx])
-            for i, peaks in zip(miss_idx, computed):
-                self._put(keys[i], peaks)
-                out[i] = peaks
-        return out  # type: ignore[return-value]
-
     def exemplar(
         self,
         reference_mean_psd: np.ndarray,
@@ -186,83 +156,6 @@ class PeakFeatureCache:
         return cached
 
     # ------------------------------------------------------------------
-    # Distances.
-    # ------------------------------------------------------------------
-    def distance(
-        self,
-        peaks: HarmonicPeaks,
-        reference: HarmonicPeaks,
-        match_tolerance_hz: float,
-    ) -> float:
-        """Memoized peak harmonic distance between two features."""
-        key = (
-            "distance",
-            self._peaks_digest(peaks),
-            self._peaks_digest(reference),
-            float(match_tolerance_hz),
-        )
-        cached = self._get(key)
-        if cached is None:
-            cached = peak_harmonic_distance(
-                peaks, reference, match_tolerance_hz=match_tolerance_hz
-            )
-            self._put(key, cached)
-        return cached  # type: ignore[return-value]
-
-    def distances(
-        self,
-        peaks_list: list[HarmonicPeaks],
-        reference: HarmonicPeaks,
-        match_tolerance_hz: float,
-    ) -> np.ndarray:
-        """Memoized ``D_a`` for many features against one reference.
-
-        Misses are packed and resolved through the batched Algorithm 1
-        kernel in a single vectorized call (bit-identical to the scalar
-        :meth:`distance` per row); hits come straight from the store.
-        Repeated features within one call compute once.
-
-        Args:
-            peaks_list: per-measurement peak features, row order.
-            reference: the shared exemplar feature.
-            match_tolerance_hz: maximum physical frequency gap for a match.
-
-        Returns:
-            ``(len(peaks_list),)`` float64 distances, cache-backed.
-        """
-        ref_digest = self._peaks_digest(reference)
-        tol = float(match_tolerance_hz)
-        keys = [
-            ("distance", self._peaks_digest(peaks), ref_digest, tol)
-            for peaks in peaks_list
-        ]
-        out = np.empty(len(peaks_list))
-        miss_idx: list[int] = []
-        first_for_key: dict[tuple, int] = {}
-        for i, key in enumerate(keys):
-            cached = self._get(key)
-            if cached is not None:
-                out[i] = cached
-            else:
-                # Duplicate misses within one call compute once below.
-                first_for_key.setdefault(key, i)
-                miss_idx.append(i)
-        if first_for_key:
-            unique_idx = list(first_for_key.values())
-            computed = packed_harmonic_distances(
-                pack_peaks([peaks_list[i] for i in unique_idx]),
-                reference,
-                match_tolerance_hz=tol,
-            )
-            values = {}
-            for i, value in zip(unique_idx, computed):
-                values[keys[i]] = float(value)
-                self._put(keys[i], float(value))
-            for i in miss_idx:
-                out[i] = values[keys[i]]
-        return out
-
-    # ------------------------------------------------------------------
     # Fused per-row scoring.
     # ------------------------------------------------------------------
     def scores_for_rows(
@@ -276,14 +169,11 @@ class PeakFeatureCache:
     ) -> np.ndarray:
         """``D_a`` per PSD row with a single digest pass over the rows.
 
-        The two-step path (:meth:`peaks_for_rows` then :meth:`distances`)
-        hashes every row for the peaks lookup and then every peak feature
-        for the distance lookup — two Python-level passes over the fleet
-        even when everything hits.  Here each PSD row is digested once
-        and that digest keys *both* namespaces: a warm row resolves its
-        distance directly (``("distance", row, freqs, params, ref, tol)``)
-        without ever materializing the peak feature, and a cold row fills
-        the ``peaks`` entry and the row-keyed distance entry from one
+        Each PSD row is digested once and that digest keys *both*
+        namespaces: a warm row resolves its distance directly
+        (``("distance", row, freqs, params, ref, tol)``) without ever
+        materializing the peak feature, and a cold row fills the
+        ``peaks`` entry and the row-keyed distance entry from one
         batched extraction + one batched Algorithm 1 call.
 
         Args:
@@ -296,7 +186,8 @@ class PeakFeatureCache:
                 invoked once over the stacked peak-miss rows.
 
         Returns:
-            ``(n,)`` float64 distances, bit-identical to the two-step path.
+            ``(n,)`` float64 distances, bit-identical to
+            :func:`~repro.core.distance.peak_harmonic_distance` per row.
         """
         rows = np.atleast_2d(np.asarray(psds, dtype=np.float64))
         freq_digest = array_digest(frequencies)
@@ -418,21 +309,6 @@ class TransformCache:
             self.hits += 1
             offsets, rms, psd = entry
         return offsets.copy(), rms.copy(), psd.copy()
-
-    def put(
-        self,
-        key: bytes,
-        offsets: np.ndarray,
-        rms: np.ndarray,
-        psd: np.ndarray,
-    ) -> None:
-        # Store private copies: callers typically pass views into their
-        # own (mutable, possibly short-lived) result buffers.
-        entry = (offsets.copy(), rms.copy(), psd.copy())
-        with self._lock:
-            self._store[key] = entry
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
 
     def put_owned(
         self,

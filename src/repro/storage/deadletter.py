@@ -4,12 +4,10 @@ The transport, gateway and engine layers push
 :class:`~repro.storage.records.DeadLetterRecord` entries here instead of
 raising (or silently dropping); the chaos runner flushes the queue into
 the database's ``dead_letters`` table and the operator report renders
-the per-pump counts in its data-health section.
+their count in its data-health section.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from repro.storage.records import DeadLetterRecord
 
@@ -48,13 +46,3 @@ class DeadLetterQueue:
 
     def put(self, record: DeadLetterRecord) -> None:
         self.records.append(record)
-
-    def counts_by_pump(self) -> dict[int, int]:
-        """Quarantined-measurement count per pump."""
-        return dict(Counter(r.pump_id for r in self.records))
-
-    def counts_by_reason(self) -> dict[str, int]:
-        return dict(Counter(r.reason for r in self.records))
-
-    def for_stage(self, stage: str) -> list[DeadLetterRecord]:
-        return [r for r in self.records if r.stage == stage]

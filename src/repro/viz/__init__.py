@@ -5,14 +5,13 @@ offline), so figures are regenerated as ASCII plots for the terminal plus
 CSV artifacts for external plotting.
 """
 
-from repro.viz.ascii import ascii_histogram, ascii_line_plot, ascii_scatter
+from repro.viz.ascii import ascii_histogram, ascii_line_plot
 from repro.viz.export import write_csv
 from repro.viz.dashboard import render_dashboard, write_dashboard
 
 __all__ = [
     "ascii_line_plot",
     "ascii_histogram",
-    "ascii_scatter",
     "write_csv",
     "render_dashboard",
     "write_dashboard",

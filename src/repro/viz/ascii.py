@@ -82,17 +82,6 @@ def ascii_line_plot(
     return "\n".join(lines)
 
 
-def ascii_scatter(
-    x: np.ndarray,
-    y: np.ndarray,
-    width: int = 72,
-    height: int = 18,
-    title: str = "",
-) -> str:
-    """Scatter plot of one point cloud."""
-    return ascii_line_plot(np.asarray(x), {"points": np.asarray(y)}, width, height, title)
-
-
 def ascii_histogram(
     values: np.ndarray,
     bins: int = 24,

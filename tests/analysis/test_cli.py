@@ -177,7 +177,7 @@ class TestSimulateAnalyze:
 # Runs in a fresh process: which modules a cold ``repro analyze`` loads.
 _IMPORT_GUARD = """
 import io, json, sys
-LAZY = ("scipy.signal", "scipy.stats",
+LAZY = ("scipy.signal", "scipy.stats", "scipy.linalg",
         "multiprocessing.shared_memory", "concurrent.futures.process")
 import repro.cli
 loaded = {"import": [m for m in LAZY if m in sys.modules]}
@@ -258,6 +258,29 @@ class TestCompactScheduleExport:
         )
         assert code == 0
         assert "period" in text or "no replacements due" in text
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizon", "0"], "error: --horizon must be positive"),
+            (["--capacity", "0"], "error: capacity_per_period must be positive"),
+            (["--period-days", "0"], "error: period_days must be positive"),
+            (["--margin-days", "-1"],
+             "error: safety_margin_days must be non-negative"),
+        ],
+        ids=["horizon", "capacity", "period-days", "margin-days"],
+    )
+    def test_schedule_rejects_bad_values_before_opening_the_db(
+        self, tmp_path, flags, message
+    ):
+        # sqlite would create a missing file on open: its absence afterwards
+        # shows the check ran before the database was opened.
+        db_path = tmp_path / "missing.db"
+        proc = spawn_python(["-m", "repro", "schedule", "--db", str(db_path), *flags])
+        assert proc.returncode == 1
+        assert message in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert not db_path.exists()
 
     def test_export_roundtrip(self, populated_db, tmp_path):
         out_path = str(tmp_path / "corpus.npz")

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from repro.viz.ascii import ascii_histogram, ascii_line_plot, ascii_scatter
+from repro.viz.ascii import ascii_histogram, ascii_line_plot
 from repro.viz.export import write_csv
 
 
@@ -55,10 +55,6 @@ class TestAsciiLinePlot:
     def test_rejects_misaligned_series(self):
         with pytest.raises(ValueError):
             ascii_line_plot(np.ones(3), {"s": np.ones(4)})
-
-    def test_scatter_wrapper(self):
-        out = ascii_scatter(np.arange(10.0), np.arange(10.0))
-        assert "points" in out
 
 
 class TestAsciiHistogram:

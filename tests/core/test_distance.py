@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import (
-    MahalanobisMetric,
-    euclidean_distance,
-    mahalanobis_distance,
-    peak_harmonic_distance,
-)
+from repro.core.distance import MahalanobisMetric, peak_harmonic_distance
 from repro.core.peaks import HarmonicPeaks
 
 
@@ -109,27 +104,16 @@ class TestPeakHarmonicDistance:
         assert peak_harmonic_distance(a, b) <= np.sqrt(2.0) + 1e-9
 
 
-class TestEuclidean:
-    def test_zero_for_identical(self):
-        v = np.asarray([1.0, 2.0, 3.0])
-        assert euclidean_distance(v, v) == 0.0
-
-    def test_matches_norm(self):
-        a = np.asarray([0.0, 3.0])
-        b = np.asarray([4.0, 0.0])
-        assert euclidean_distance(a, b) == pytest.approx(5.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance(np.ones(3), np.ones(4))
-
-
 class TestMahalanobis:
     def test_zero_at_reference_mean(self):
         gen = np.random.default_rng(0)
         ref = gen.normal(size=(50, 4))
         metric = MahalanobisMetric(ref)
         assert metric.distance(ref.mean(axis=0)) == pytest.approx(0.0, abs=1e-9)
+        vecs = gen.normal(size=(5, 4))
+        assert metric.distance_many(vecs) == pytest.approx(
+            [metric.distance(v) for v in vecs], rel=1e-12
+        )
 
     def test_whitens_anisotropic_data(self):
         gen = np.random.default_rng(1)
@@ -149,14 +133,6 @@ class TestMahalanobis:
     def test_single_reference_sample(self):
         metric = MahalanobisMetric(np.ones((1, 4)))
         assert metric.distance(np.ones(4)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_one_shot_helper(self):
-        gen = np.random.default_rng(2)
-        ref = gen.normal(size=(30, 3))
-        v = gen.normal(size=3)
-        assert mahalanobis_distance(v, ref) == pytest.approx(
-            MahalanobisMetric(ref).distance(v)
-        )
 
     def test_rejects_bad_shrinkage(self):
         with pytest.raises(ValueError):

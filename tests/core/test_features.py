@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.features import (
-    FeatureConfig,
-    extract_features,
     measurement_offsets,
     normalize_measurement,
     psd_feature,
     psd_frequencies,
     rms_feature,
-    rms_per_axis,
 )
 from tests.conftest import make_sine_block
 
@@ -72,15 +69,9 @@ class TestRMS:
         block = np.ones((64, 3)) * 2.5
         assert rms_feature(block) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rms_per_axis_equals_std(self):
-        gen = np.random.default_rng(0)
-        block = gen.normal(0.0, 1.0, size=(2048, 3))
-        per_axis = rms_per_axis(block)
-        assert np.allclose(per_axis, block.std(axis=0), atol=1e-10)
-
     def test_rms_combines_axes_quadratically(self):
         block = make_sine_block(amplitude=1.0, num_samples=4000)
-        per_axis = rms_per_axis(block)
+        per_axis = block.std(axis=0)
         assert rms_feature(block) == pytest.approx(float(np.sqrt((per_axis**2).sum())))
 
     def test_rms_scales_linearly_with_amplitude(self):
@@ -101,7 +92,7 @@ class TestPSD:
         gen = np.random.default_rng(7)
         block = gen.normal(0.0, 0.5, size=(1024, 3))
         psd = psd_feature(block, per_axis=True)
-        per_axis_rms_sq = rms_per_axis(block) ** 2
+        per_axis_rms_sq = block.std(axis=0) ** 2
         assert np.allclose(psd.sum(axis=0), per_axis_rms_sq, rtol=1e-10)
 
     def test_combined_psd_sums_axes(self):
@@ -150,31 +141,6 @@ class TestFrequencies:
             psd_frequencies(1, 4000.0)
         with pytest.raises(ValueError):
             psd_frequencies(64, 0.0)
-
-
-class TestFeatureConfig:
-    def test_defaults_match_paper(self):
-        config = FeatureConfig()
-        assert config.sampling_rate_hz == 4000.0
-        assert config.samples_per_measurement == 1024
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(sampling_rate_hz=-1)
-        with pytest.raises(ValueError):
-            FeatureConfig(samples_per_measurement=1)
-
-    def test_extract_features_enforces_block_length(self):
-        config = FeatureConfig(samples_per_measurement=512)
-        with pytest.raises(ValueError, match="K=512"):
-            extract_features(make_sine_block(num_samples=1024), config)
-
-    def test_extract_features_returns_consistent_pair(self):
-        config = FeatureConfig(samples_per_measurement=1024)
-        block = make_sine_block()
-        rms, psd = extract_features(block, config)
-        assert rms == pytest.approx(rms_feature(block))
-        assert psd.shape == (1024,)
 
 
 class TestWelchPSD:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.peaks import HarmonicPeaks
+from repro.core.peaks import HarmonicPeaks, extract_harmonic_peaks_batch
 from repro.runtime.cache import (
     PeakFeatureCache,
     TransformCache,
@@ -52,12 +52,35 @@ class TestArrayDigest:
         assert array_digest(ints) == array_digest(floats)
 
 
+FREQS = np.linspace(0, 2000, 64)
+PARAMS = PeakFeatureCache.peak_params_key(3, 5, 2, 0.0)
+
+
 def make_peaks(seed: int) -> HarmonicPeaks:
     gen = np.random.default_rng(seed)
     return HarmonicPeaks(
         frequencies=np.sort(gen.uniform(10, 2000, size=5)),
         values=gen.uniform(0.1, 1.0, size=5),
     )
+
+
+def spike_row(*bins: int) -> np.ndarray:
+    """A ``(1, 64)`` PSD row with unit spikes at ``bins``."""
+    row = np.zeros((1, 64))
+    row[0, list(bins)] = 1.0
+    return row
+
+
+def scores(cache, rows, reference, tol, calls):
+    """:meth:`PeakFeatureCache.scores_for_rows`, logging each extraction."""
+
+    def compute_batch(miss_rows):
+        calls.append(miss_rows.shape[0])
+        return extract_harmonic_peaks_batch(
+            miss_rows, FREQS, num_peaks=3, window_size=5, min_significance=0.0
+        )
+
+    return cache.scores_for_rows(rows, FREQS, PARAMS, reference, tol, compute_batch)
 
 
 class TestPeakFeatureCacheEviction:
@@ -87,45 +110,47 @@ class TestPeakFeatureCacheEviction:
 
     def test_distance_namespace_shares_the_budget(self):
         cache = PeakFeatureCache(max_entries=2)
-        a, b = make_peaks(1), make_peaks(2)
-        cache.distance(a, b, match_tolerance_hz=5.0)
+        calls: list[int] = []
+        # One cold row fills one peaks and one distance entry.
+        scores(cache, spike_row(10), make_peaks(2), 5.0, calls)
+        assert len(cache) == 2
         cache._put(("peaks", "x"), 1)
         cache._put(("peaks", "y"), 2)
-        # The distance entry was first in, so it was evicted.
+        # Both of the row's entries were first in, so both were evicted.
         assert len(cache) == 2
         before = cache.misses
-        cache.distance(a, b, match_tolerance_hz=5.0)
-        assert cache.misses == before + 1
+        scores(cache, spike_row(10), make_peaks(2), 5.0, calls)
+        assert cache.misses == before + 2
+        assert calls == [1, 1]
 
-    def test_peaks_for_rows_no_aliasing_between_same_shape_rows(self):
+    def test_no_aliasing_between_same_shape_rows(self):
         """Two PSD rows with identical shape but different bytes must be
         computed independently — a shape-only key would alias them."""
         cache = PeakFeatureCache(max_entries=100)
-        freqs = np.linspace(0, 2000, 64)
-        row_a = np.zeros((1, 64))
-        row_a[0, 10] = 1.0
-        row_b = np.zeros((1, 64))
-        row_b[0, 20] = 1.0
-
-        def compute_batch(rows):
-            return [("computed", array_digest(row)) for row in rows]
-
-        params = PeakFeatureCache.peak_params_key(3, 5, 2, 0.0)
-        (out_a,) = cache.peaks_for_rows(row_a, freqs, params, compute_batch)
-        (out_b,) = cache.peaks_for_rows(row_b, freqs, params, compute_batch)
-        assert out_a != out_b
+        row_a, row_b = spike_row(10), spike_row(20)
+        (peaks_a,) = extract_harmonic_peaks_batch(
+            row_a, FREQS, num_peaks=3, window_size=5, min_significance=0.0
+        )
+        calls: list[int] = []
+        (out_a,) = scores(cache, row_a, peaks_a, 5.0, calls)
+        (out_b,) = scores(cache, row_b, peaks_a, 5.0, calls)
+        assert calls == [1, 1]
+        assert out_a == 0.0 and out_b > 0.0
         # And both are now warm, byte-addressed.
-        (again_a,) = cache.peaks_for_rows(row_a, freqs, params, compute_batch)
+        (again_a,) = scores(cache, row_a, peaks_a, 5.0, calls)
         assert again_a == out_a
+        assert calls == [1, 1]
         assert cache.hits == 1
 
     def test_distance_tolerance_is_part_of_the_key(self):
         cache = PeakFeatureCache(max_entries=100)
-        a, b = make_peaks(3), make_peaks(4)
-        cache.distance(a, b, match_tolerance_hz=5.0)
+        calls: list[int] = []
+        scores(cache, spike_row(10, 30), make_peaks(4), 5.0, calls)
         misses_before = cache.misses
-        cache.distance(a, b, match_tolerance_hz=10.0)
+        scores(cache, spike_row(10, 30), make_peaks(4), 10.0, calls)
         assert cache.misses == misses_before + 1
+        # Only the distance entry misses: the peaks entry is reused.
+        assert calls == [1]
 
     def test_clear_resets_contents_and_counters(self):
         cache = PeakFeatureCache(max_entries=10)
@@ -140,13 +165,17 @@ class TestPeakFeatureCacheEviction:
 
 class TestTransformCacheEviction:
     def entry(self, seed: int):
+        """A frozen ``(offsets, rms, psd)`` triple, as ``put_owned`` takes."""
         gen = np.random.default_rng(seed)
-        return gen.random(4), gen.random(4), gen.random((4, 8))
+        arrays = gen.random(4), gen.random(4), gen.random((4, 8))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
     def test_bounded_fifo(self):
         cache = TransformCache(max_entries=2)
         for i in range(4):
-            cache.put(bytes([i]), *self.entry(i))
+            cache.put_owned(bytes([i]), *self.entry(i))
         assert len(cache) == 2
         assert cache.get(bytes([0])) is None
         assert cache.get(bytes([1])) is None
@@ -156,21 +185,13 @@ class TestTransformCacheEviction:
         """Mutating a hit must never corrupt the stored entry."""
         cache = TransformCache(max_entries=2)
         offsets, rms, psd = self.entry(5)
-        cache.put(b"k", offsets, rms, psd)
+        cache.put_owned(b"k", offsets, rms, psd)
         got_offsets, got_rms, got_psd = cache.get(b"k")
         got_offsets[:] = -1
         got_psd[:] = -1
         clean_offsets, _, clean_psd = cache.get(b"k")
         np.testing.assert_array_equal(clean_offsets, offsets)
         np.testing.assert_array_equal(clean_psd, psd)
-
-    def test_put_copies_caller_buffers(self):
-        cache = TransformCache(max_entries=2)
-        offsets, rms, psd = self.entry(6)
-        cache.put(b"k", offsets, rms, psd)
-        psd[:] = 0  # caller reuses its buffer
-        _, _, cached_psd = cache.get(b"k")
-        assert not np.array_equal(cached_psd, psd)
 
     def test_same_length_different_bytes_do_not_alias(self):
         cache = TransformCache(max_entries=4)
@@ -179,13 +200,13 @@ class TestTransformCacheEviction:
         block_b[0, 0] = 1e-300  # same shape and byte length, one bit of difference
         key_a, key_b = array_digest(block_a), array_digest(block_b)
         assert key_a != key_b
-        cache.put(key_a, *self.entry(7))
+        cache.put_owned(key_a, *self.entry(7))
         assert cache.get(key_b) is None
 
     def test_counters(self):
         cache = TransformCache(max_entries=2)
         cache.get(b"missing")
-        cache.put(b"k", *self.entry(8))
+        cache.put_owned(b"k", *self.entry(8))
         cache.get(b"k")
         assert cache.misses == 1
         assert cache.hits == 1

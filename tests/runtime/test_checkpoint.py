@@ -155,7 +155,9 @@ class TestStaleCacheRevalidation:
         # revalidation ever served it, the output would be zeros.
         reference = make_pipeline().transform(blocks)
         poison = tuple(np.zeros_like(ref[:CHUNK_ROWS]) for ref in reference)
-        pipeline.transform_cache.put(chunk_key, *poison)
+        for arr in poison:
+            arr.setflags(write=False)
+        pipeline.transform_cache.put_owned(chunk_key, *poison)
         result = pipeline.transform(blocks)
         for ref, got in zip(reference, result):
             assert np.array_equal(ref, got)

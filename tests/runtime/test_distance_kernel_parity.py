@@ -20,7 +20,6 @@ from repro.core.distance import (
     pack_peaks,
     packed_harmonic_distances,
     peak_harmonic_distance,
-    peak_harmonic_distances,
 )
 from repro.core.peaks import HarmonicPeaks
 
@@ -235,14 +234,3 @@ class TestSeededSweep:
             ref_freqs = np.sort(rng.choice(np.arange(1.0, 400.0, 0.5), n_ref, replace=False))
             reference = make_peaks(ref_freqs, rng.uniform(0.0, 10.0, n_ref))
             assert_bit_identical(rows, reference, tol=tol)
-
-    def test_public_wrapper_is_the_kernel(self):
-        rng = np.random.default_rng(7)
-        rows = [
-            make_peaks(np.sort(rng.uniform(1, 200, 5)), rng.uniform(0, 5, 5))
-            for _ in range(10)
-        ]
-        reference = make_peaks(np.sort(rng.uniform(1, 200, 4)), rng.uniform(0, 5, 4))
-        via_wrapper = peak_harmonic_distances(rows, reference)
-        via_kernel = packed_harmonic_distances(pack_peaks(rows), reference)
-        assert np.array_equal(via_wrapper, via_kernel)

@@ -21,7 +21,6 @@ from repro.core.distance import (
     pack_peaks,
     packed_harmonic_distances,
     peak_harmonic_distance,
-    peak_harmonic_distances,
 )
 from repro.core.peaks import HarmonicPeaks, extract_harmonic_peaks
 
@@ -94,7 +93,9 @@ class TestMetricAxioms:
     @settings(max_examples=50, deadline=None)
     @given(a=peaks_strategy(), b=peaks_strategy(), tol=tolerances)
     def test_batch_wrapper_matches_scalar(self, a, b, tol):
-        batched = peak_harmonic_distances([a, b], b, match_tolerance_hz=tol)
+        batched = packed_harmonic_distances(
+            pack_peaks([a, b]), b, match_tolerance_hz=tol
+        )
         assert batched[0] == peak_harmonic_distance(a, b, match_tolerance_hz=tol)
         assert batched[1] == 0.0
 

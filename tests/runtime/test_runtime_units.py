@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.peaks import HarmonicPeaks
+from repro.core.features import psd_frequencies
+from repro.core.peaks import HarmonicPeaks, extract_harmonic_peaks_batch
 from repro.runtime import (
     FleetExecutor,
     PeakFeatureCache,
@@ -70,35 +71,82 @@ class TestFleetExecutor:
 
 
 class TestPeakFeatureCache:
+    """:meth:`PeakFeatureCache.scores_for_rows`, the cache's one row-score
+    path: each cold row fills one ``peaks`` and one ``distance`` entry."""
+
+    FREQS = psd_frequencies(128, 4000.0)
+    PARAMS = PeakFeatureCache.peak_params_key(8, 24, 2, 0.02)
+
     def make_peaks(self, seed: int) -> HarmonicPeaks:
         rng = np.random.default_rng(seed)
         freqs = np.sort(rng.uniform(0, 2000, 8))
         return HarmonicPeaks(frequencies=freqs, values=rng.uniform(0, 5, 8))
 
+    def make_rows(self, seed: int, n: int = 1) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        rows = rng.exponential(0.05, (n, self.FREQS.size))
+        rows[:, rng.integers(4, 120, 3)] = 2.0
+        return rows
+
+    def score(self, cache, rows, reference, tol=24.0, calls=None):
+        def compute_batch(miss_rows):
+            if calls is not None:
+                calls.append(miss_rows.shape[0])
+            return extract_harmonic_peaks_batch(miss_rows, self.FREQS, num_peaks=8)
+
+        return cache.scores_for_rows(
+            rows, self.FREQS, self.PARAMS, reference, tol, compute_batch
+        )
+
     def test_distance_memoized(self):
         cache = PeakFeatureCache()
-        a, b = self.make_peaks(1), self.make_peaks(2)
-        first = cache.distance(a, b, 24.0)
-        second = cache.distance(a, b, 24.0)
-        assert first == second
-        assert cache.hits == 1 and cache.misses == 1
+        rows, ref = self.make_rows(1), self.make_peaks(2)
+        calls: list[int] = []
+        first = self.score(cache, rows, ref, calls=calls)
+        second = self.score(cache, rows, ref, calls=calls)
+        assert np.array_equal(first, second)
+        assert calls == [1]
+        # Cold: distance and peaks miss; warm: the distance entry hits.
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_tolerance_is_part_of_the_key(self):
         cache = PeakFeatureCache()
-        a, b = self.make_peaks(1), self.make_peaks(2)
-        cache.distance(a, b, 24.0)
-        cache.distance(a, b, 48.0)
-        assert cache.misses == 2
+        rows, ref = self.make_rows(1), self.make_peaks(2)
+        self.score(cache, rows, ref, tol=24.0)
+        self.score(cache, rows, ref, tol=48.0)
+        # The second call misses its distance entry and hits the peaks.
+        assert cache.misses == 3 and cache.hits == 1
+
+    def test_changed_reference_exemplar_misses(self):
+        cache = PeakFeatureCache()
+        rows = self.make_rows(1)
+        calls: list[int] = []
+        first = self.score(cache, rows, self.make_peaks(2), calls=calls)
+        misses = cache.misses
+        second = self.score(cache, rows, self.make_peaks(3), calls=calls)
+        assert cache.misses == misses + 1
+        assert calls == [1]  # the row's peaks are reused
+        assert not np.array_equal(first, second)
+
+    def test_duplicate_rows_in_one_call_are_extracted_once(self):
+        cache = PeakFeatureCache()
+        a, b = self.make_rows(1), self.make_rows(2)
+        rows = np.vstack([a, b, a, a])
+        calls: list[int] = []
+        out = self.score(cache, rows, self.make_peaks(3), calls=calls)
+        assert calls == [2]
+        assert out[0] == out[2] == out[3]
+        assert len(cache) == 4  # two peaks and two distance entries
 
     def test_eviction_bound(self):
         cache = PeakFeatureCache(max_entries=3)
         for seed in range(6):
-            cache.distance(self.make_peaks(seed), self.make_peaks(seed + 100), 24.0)
+            self.score(cache, self.make_rows(seed), self.make_peaks(seed + 100))
         assert len(cache) == 3
 
     def test_clear_resets_counters(self):
         cache = PeakFeatureCache()
-        cache.distance(self.make_peaks(1), self.make_peaks(2), 24.0)
+        self.score(cache, self.make_rows(1), self.make_peaks(2))
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
@@ -109,15 +157,19 @@ class TestPeakFeatureCache:
 
 class TestTransformCache:
     def triple(self, seed: int):
+        """A frozen ``(offsets, rms, psd)`` triple, as ``put_owned`` takes."""
         rng = np.random.default_rng(seed)
-        return rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(4, 16))
+        arrays = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(4, 16))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
     def test_roundtrip_and_counters(self):
         cache = TransformCache()
         offsets, rms, psd = self.triple(0)
         key = array_digest(psd)
         assert cache.get(key) is None
-        cache.put(key, offsets, rms, psd)
+        cache.put_owned(key, offsets, rms, psd)
         got = cache.get(key)
         assert got is not None
         for stored, original in zip(got, (offsets, rms, psd)):
@@ -127,7 +179,7 @@ class TestTransformCache:
     def test_hits_return_private_copies(self):
         cache = TransformCache()
         offsets, rms, psd = self.triple(0)
-        cache.put(b"k", offsets, rms, psd)
+        cache.put_owned(b"k", offsets, rms, psd)
         first = cache.get(b"k")
         first[2][:] = -1.0  # corrupting the returned arrays ...
         again = cache.get(b"k")
@@ -136,14 +188,27 @@ class TestTransformCache:
     def test_store_is_isolated_from_caller_buffers(self):
         cache = TransformCache()
         offsets, rms, psd = self.triple(0)
-        cache.put(b"k", offsets, rms, psd)
-        psd[:] = 99.0  # caller reuses its buffer after putting
-        assert not np.array_equal(cache.get(b"k")[2], psd)
+        cache.put_owned(b"k", offsets, rms, psd)
+        with pytest.raises(ValueError):
+            psd[:] = 99.0  # the handed-over buffer is frozen
+        assert np.array_equal(cache.get(b"k")[2], self.triple(0)[2])
+
+    def test_put_owned_rejects_writable_arrays(self):
+        cache = TransformCache()
+        offsets, rms, psd = self.triple(0)
+        with pytest.raises(ValueError, match="frozen"):
+            cache.put_owned(b"k", offsets, rms, psd.copy())
+        base = np.zeros((8, 16))
+        view = base[:4]
+        view.setflags(write=False)  # read-only view of a writable buffer
+        with pytest.raises(ValueError, match="frozen"):
+            cache.put_owned(b"k", offsets, rms, view)
+        assert len(cache) == 0
 
     def test_fifo_eviction(self):
         cache = TransformCache(max_entries=2)
         for i in range(3):
-            cache.put(bytes([i]), *self.triple(i))
+            cache.put_owned(bytes([i]), *self.triple(i))
         assert len(cache) == 2
         assert cache.get(bytes([0])) is None  # oldest evicted
         assert cache.get(bytes([2])) is not None
